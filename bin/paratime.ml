@@ -930,19 +930,15 @@ let fuzz_cmd =
    anything.  The attributed task runs on core 0; under the contended
    modes every other core runs the same program as a co-runner.
 
-   [mode_attribution] is the one place that pairing lives: it returns
-   the analytic attribution plus the observed one when the mode has a
-   simulated side ([None] for dynamic locking, which the machine cannot
-   execute).  Both the single-mode report and the per-mode gap table of
-   [--mode all --gap] go through it.  Raises
+   The analysis side is the request's {!Server_lib.Modes} entry;
+   [observed_attribution] is the one place the matching machine lives.
+   It returns [None] for dynamic locking, which the machine cannot
+   execute.  The bypass set and lock selection that configure the
+   machine are computed from the same context pack as the analysis, so
+   one command builds one front end.  Raises
    {!Core.Wcet.Not_analysable}. *)
-let mode_attribution ~cores ~program ~annot mode =
+let observed_attribution ~pack ~cores ~program ~annot mode =
   let l2_cfg = Cache.Config.make ~sets:64 ~assoc:4 ~line_size:16 in
-  let analysis_of (w : Core.Wcet.t option) =
-    match w with
-    | Some w -> Attrib.of_wcet w
-    | None -> die "no analysis result for core 0"
-  in
   let setups n =
     Array.init n (fun i ->
         {
@@ -958,122 +954,118 @@ let mode_attribution ~cores ~program ~annot mode =
     Core.Multicore.machine_config sys
       ~l2:(Sim.Machine.Shared_l2 sys.Core.Multicore.l2)
   in
-  let analysis, sim_result =
-    match mode with
-    | Fuzz.Oracle.Solo ->
-        let platform = Core.Platform.single_core ~l2:l2_cfg () in
-        let a = Core.Wcet.analyze ~annot platform program in
-        let cfg =
-          {
-            Sim.Machine.latencies = platform.Core.Platform.latencies;
-            l1i = platform.Core.Platform.l1i;
-            l1d = platform.Core.Platform.l1d;
-            l2 = Sim.Machine.Private_l2 [| l2_cfg |];
-            arbiter = Interconnect.Arbiter.Private;
-            refresh = platform.Core.Platform.refresh;
-            i_path = Sim.Machine.Conventional;
-          }
-        in
-        ( Attrib.of_wcet a,
-          Some (Sim.Machine.run cfg ~cores:(setups 1) ()).(0) )
-    | Fuzz.Oracle.Oblivious ->
-        let a = analysis_of (Core.Multicore.analyze_oblivious sys).(0) in
-        let cfg =
-          {
-            (Core.Multicore.machine_config sys
-               ~l2:(Sim.Machine.Private_l2 [| sys.Core.Multicore.l2 |]))
-            with
-            Sim.Machine.arbiter = Interconnect.Arbiter.Private;
-          }
-        in
-        (* the oblivious bound is only claimed solo *)
-        (a, Some (Sim.Machine.run cfg ~cores:(setups 1) ()).(0))
-    | Fuzz.Oracle.Joint ->
-        let a = analysis_of (Core.Multicore.analyze_joint sys ()).(0) in
-        (a, Some (Sim.Machine.run shared_machine ~cores:(setups cores) ()).(0))
-    | Fuzz.Oracle.Bypass ->
-        let a =
-          analysis_of (Core.Multicore.analyze_joint sys ~bypass:true ()).(0)
-        in
-        let lines = Core.Multicore.bypass_lines sys (program, annot) in
-        let set = Hashtbl.create (2 * List.length lines + 1) in
-        List.iter (fun l -> Hashtbl.replace set l ()) lines;
-        let cs =
-          Array.map
-            (fun s ->
-              { s with Sim.Machine.l2_bypass = (fun l -> Hashtbl.mem set l) })
-            (setups cores)
-        in
-        (a, Some (Sim.Machine.run shared_machine ~cores:cs ()).(0))
-    | Fuzz.Oracle.Columnized | Fuzz.Oracle.Bankized ->
-        let scheme =
-          if mode = Fuzz.Oracle.Columnized then Cache.Partition.Columnization
-          else Cache.Partition.Bankization
-        in
-        let a =
-          analysis_of (Core.Multicore.analyze_partitioned sys ~scheme).(0)
-        in
-        let alloc =
-          Cache.Partition.even_shares scheme sys.Core.Multicore.l2
-            ~parts:cores
-        in
-        let slices =
-          Array.init cores (fun i ->
-              Cache.Partition.partition_config sys.Core.Multicore.l2 alloc
-                ~index:i)
-        in
-        let cfg =
-          Core.Multicore.machine_config sys
-            ~l2:(Sim.Machine.Private_l2 slices)
-        in
-        (a, Some (Sim.Machine.run cfg ~cores:(setups cores) ()).(0))
-    | Fuzz.Oracle.Locked ->
-        let selection = Core.Multicore.static_lock_selection sys in
-        let a = analysis_of (Core.Multicore.analyze_locked sys).(0) in
-        let cs =
-          Array.map
-            (fun s ->
-              {
-                s with
-                Sim.Machine.locked_l2_lines = selection.Cache.Locking.locked;
-              })
-            (setups cores)
-        in
-        (a, Some (Sim.Machine.run shared_machine ~cores:cs ()).(0))
-    | Fuzz.Oracle.Dynamic ->
-        (* analysis-level only: the machine cannot reprogram locks *)
-        (analysis_of (Core.Multicore.analyze_locked_dynamic sys).(0), None)
+  let observe cfg cores =
+    Some (Attrib.observed (Sim.Machine.run cfg ~cores ()).(0))
   in
-  (analysis, Option.map Attrib.observed sim_result)
+  match mode with
+  | Fuzz.Oracle.Solo ->
+      let platform = Core.Platform.single_core ~l2:l2_cfg () in
+      observe
+        {
+          Sim.Machine.latencies = platform.Core.Platform.latencies;
+          l1i = platform.Core.Platform.l1i;
+          l1d = platform.Core.Platform.l1d;
+          l2 = Sim.Machine.Private_l2 [| l2_cfg |];
+          arbiter = Interconnect.Arbiter.Private;
+          refresh = platform.Core.Platform.refresh;
+          i_path = Sim.Machine.Conventional;
+        }
+        (setups 1)
+  | Fuzz.Oracle.Oblivious ->
+      (* the oblivious bound is only claimed solo *)
+      observe
+        {
+          (Core.Multicore.machine_config sys
+             ~l2:(Sim.Machine.Private_l2 [| sys.Core.Multicore.l2 |]))
+          with
+          Sim.Machine.arbiter = Interconnect.Arbiter.Private;
+        }
+        (setups 1)
+  | Fuzz.Oracle.Joint -> observe shared_machine (setups cores)
+  | Fuzz.Oracle.Bypass ->
+      let lines =
+        Core.Multicore.bypass_lines
+          ?ctx:(Server_lib.Modes.contexts pack).(0)
+          sys (program, annot)
+      in
+      let set = Hashtbl.create (2 * List.length lines + 1) in
+      List.iter (fun l -> Hashtbl.replace set l ()) lines;
+      observe shared_machine
+        (Array.map
+           (fun s ->
+             { s with Sim.Machine.l2_bypass = (fun l -> Hashtbl.mem set l) })
+           (setups cores))
+  | Fuzz.Oracle.Columnized | Fuzz.Oracle.Bankized ->
+      let scheme =
+        if mode = Fuzz.Oracle.Columnized then Cache.Partition.Columnization
+        else Cache.Partition.Bankization
+      in
+      let alloc =
+        Cache.Partition.even_shares scheme sys.Core.Multicore.l2 ~parts:cores
+      in
+      let slices =
+        Array.init cores (fun i ->
+            Cache.Partition.partition_config sys.Core.Multicore.l2 alloc
+              ~index:i)
+      in
+      let cfg =
+        Core.Multicore.machine_config sys ~l2:(Sim.Machine.Private_l2 slices)
+      in
+      observe cfg (setups cores)
+  | Fuzz.Oracle.Locked ->
+      let selection =
+        Core.Multicore.static_lock_selection
+          ~ctxs:(Server_lib.Modes.contexts pack)
+          sys
+      in
+      observe shared_machine
+        (Array.map
+           (fun s ->
+             {
+               s with
+               Sim.Machine.locked_l2_lines = selection.Cache.Locking.locked;
+             })
+           (setups cores))
+  | Fuzz.Oracle.Dynamic ->
+      (* analysis-level only: the machine cannot reprogram locks *)
+      None
 
 let attribute_cmd =
   let run_all source cores gap trace_out csv_out =
     let ((program, annot) as task) = load source in
-    let results = all_modes_results ~cores task in
+    let pack = Server_lib.Modes.pack ~cores task in
+    let results =
+      List.map
+        (fun mode ->
+          ( mode,
+            Server_lib.Modes.analyze_mode ~mode ~kind:Server_lib.Modes.Wcet
+              pack ))
+        Fuzz.Oracle.all_modes
+    in
     print_string (render_all_modes results);
     if gap then begin
-      (* Per-mode gap table: each mode's analysis re-paired with its own
-         simulated machine (the all-modes sweep above is analysis-only).
-         Dynamic locking has no executable side, hence no gap. *)
+      (* Per-mode gap table: each mode's analysis paired with its own
+         simulated machine.  Dynamic locking has no executable side,
+         hence no gap. *)
       Printf.printf "\n%-12s %10s %10s %10s %14s\n" "mode" "wcet" "observed"
         "gap" "dominant gap";
       List.iter
-        (fun (m, _) ->
-          match mode_attribution ~cores ~program ~annot m with
-          | analysis, Some o ->
-              let g = Attrib.gap ~analysis ~observed:o in
-              Printf.printf "%-12s %10d %10d %10d %14s\n"
-                (Fuzz.Oracle.mode_name m) analysis.Attrib.bound
-                o.Attrib.bound
-                (analysis.Attrib.bound - o.Attrib.bound)
-                (Pipeline.Cost.category_name g.Attrib.dominant)
-          | analysis, None ->
-              Printf.printf "%-12s %10d %10s %10s %14s\n"
-                (Fuzz.Oracle.mode_name m) analysis.Attrib.bound "-" "-"
-                "analytic only"
-          | exception Core.Wcet.Not_analysable msg ->
-              Printf.printf "%-12s not analysable: %s\n"
-                (Fuzz.Oracle.mode_name m) msg)
+        (fun (m, r) ->
+          let name = Fuzz.Oracle.mode_name m in
+          match r with
+          | Error msg -> Printf.printf "%-12s %s\n" name msg
+          | Ok (e : Store.Entry.t) -> (
+              let analysis = e.Store.Entry.attrib in
+              match observed_attribution ~pack ~cores ~program ~annot m with
+              | Some o ->
+                  let g = Attrib.gap ~analysis ~observed:o in
+                  Printf.printf "%-12s %10d %10d %10d %14s\n" name
+                    analysis.Attrib.bound o.Attrib.bound
+                    (analysis.Attrib.bound - o.Attrib.bound)
+                    (Pipeline.Cost.category_name g.Attrib.dominant)
+              | None ->
+                  Printf.printf "%-12s %10d %10s %10s %14s\n" name
+                    analysis.Attrib.bound "-" "-" "analytic only"))
         results
     end;
     let each f =
@@ -1112,12 +1104,16 @@ let attribute_cmd =
       | Ok m -> m
       | Error msg -> die "%s; or \"all\" for the whole sweep" msg
     in
-    let program, annot = load source in
+    let ((program, annot) as task) = load source in
+    let pack = Server_lib.Modes.pack ~cores task in
     let analysis, observed =
-      match mode_attribution ~cores ~program ~annot mode with
-      | pair -> pair
-      | exception Core.Wcet.Not_analysable msg ->
-          die "not analysable: %s" msg
+      match
+        Server_lib.Modes.analyze_mode ~mode ~kind:Server_lib.Modes.Wcet pack
+      with
+      | Ok e ->
+          ( e.Store.Entry.attrib,
+            observed_attribution ~pack ~cores ~program ~annot mode )
+      | Error msg -> die "%s" msg
     in
     print_string (Attrib.render analysis);
     (match observed with

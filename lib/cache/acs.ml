@@ -18,46 +18,59 @@ let empty config kind =
 let config t = t.config
 let kind t = t.kind
 
+(* Physical equality first: the fixpoints compare a state with its own
+   join, and the join keeps every unchanged set record (below). *)
 let equal a b =
-  a.kind = b.kind && a.config = b.config
-  && Array.for_all2
-       (fun s1 s2 ->
-         s1.universe = s2.universe && TagMap.equal ( = ) s1.ages s2.ages)
-       a.sets b.sets
+  a == b
+  || (a.kind = b.kind && a.config = b.config
+     && Array.for_all2
+          (fun s1 s2 ->
+            s1 == s2
+            || (s1.universe = s2.universe
+               && TagMap.equal Int.equal s1.ages s2.ages))
+          a.sets b.sets)
 
 let check_compat a b =
   if a.kind <> b.kind || a.config <> b.config then
     invalid_arg "Acs: incompatible states"
 
+(* Join is idempotent, so a physically shared state or set record is its
+   own join.  The L2 fixpoints join a state with its one-set update on
+   every uncertain access; the other sets skip the [TagMap] merge. *)
 let join a b =
-  check_compat a b;
-  let join_set s1 s2 =
-    match a.kind with
-    | Must ->
-        (* intersection, max age *)
-        let ages =
-          TagMap.merge
-            (fun _ x y ->
-              match (x, y) with
-              | Some x, Some y -> Some (max x y)
-              | _ -> None)
-            s1.ages s2.ages
-        in
-        { ages; universe = false }
-    | May ->
-        (* union, min age *)
-        let ages =
-          TagMap.union (fun _ x y -> Some (min x y)) s1.ages s2.ages
-        in
-        { ages; universe = s1.universe || s2.universe }
-    | Pers ->
-        (* union, max age *)
-        let ages =
-          TagMap.union (fun _ x y -> Some (max x y)) s1.ages s2.ages
-        in
-        { ages; universe = false }
-  in
-  { a with sets = Array.map2 join_set a.sets b.sets }
+  if a == b then a
+  else begin
+    check_compat a b;
+    let join_set s1 s2 =
+      if s1 == s2 then s1
+      else
+        match a.kind with
+        | Must ->
+            (* intersection, max age *)
+            let ages =
+              TagMap.merge
+                (fun _ x y ->
+                  match (x, y) with
+                  | Some x, Some y -> Some (max x y)
+                  | _ -> None)
+                s1.ages s2.ages
+            in
+            { ages; universe = false }
+        | May ->
+            (* union, min age *)
+            let ages =
+              TagMap.union (fun _ x y -> Some (min x y)) s1.ages s2.ages
+            in
+            { ages; universe = s1.universe || s2.universe }
+        | Pers ->
+            (* union, max age *)
+            let ages =
+              TagMap.union (fun _ x y -> Some (max x y)) s1.ages s2.ages
+            in
+            { ages; universe = false }
+    in
+    { a with sets = Array.map2 join_set a.sets b.sets }
+  end
 
 let max_age t =
   match t.kind with

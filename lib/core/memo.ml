@@ -24,7 +24,7 @@ let local_stats () =
   let hits, lookups = Domain.DLS.get local_key in
   (!hits, !lookups)
 
-let program_fingerprint (p : Isa.Program.t) =
+let render_fingerprint (p : Isa.Program.t) =
   let fp = Engine.Fingerprint.create () in
   Engine.Fingerprint.string fp p.Isa.Program.name;
   Engine.Fingerprint.int fp p.Isa.Program.base;
@@ -38,6 +38,27 @@ let program_fingerprint (p : Isa.Program.t) =
     (fun ins -> Engine.Fingerprint.string fp (Isa.Instr.to_string ins))
     p.Isa.Program.code;
   Engine.Fingerprint.digest fp
+
+(* Rendering every instruction costs far more than a lookup, and one
+   program is keyed many times in a row (every mode, core slot and kind
+   of a request or fuzz group).  Each domain keeps its last few
+   (program, digest) pairs, matched by physical identity: a program
+   never changes after [Isa.Program.make], so the same program has the
+   same digest.  The list and its pairs are immutable, so systhreads
+   sharing a domain can at worst drop an entry, never read a wrong
+   one. *)
+let recent_size = 8
+let recent_key = Domain.DLS.new_key (fun () -> ref [])
+
+let program_fingerprint p =
+  let recent = Domain.DLS.get recent_key in
+  match List.assq_opt p !recent with
+  | Some digest -> digest
+  | None ->
+      let digest = render_fingerprint p in
+      let older = List.filteri (fun i _ -> i < recent_size - 1) !recent in
+      recent := (p, digest) :: older;
+      digest
 
 (* [None] when the point is uncacheable: the platform's resolved waits do
    not exist (unanalysable arbiter — the analysis will raise anyway) or the

@@ -126,5 +126,7 @@ val local_stats : unit -> int * int
     job's exact cache behaviour without cross-domain races. *)
 
 val program_fingerprint : Isa.Program.t -> string
-(** Canonical rendering of a program (name, layout, labels, entry, every
-    instruction) — exposed for tests and external keying. *)
+(** Digest of a canonical rendering of a program (name, layout, labels,
+    entry, every instruction) — exposed for tests and external keying.
+    Each domain remembers the digests of its last 8 programs by physical
+    identity, so keying one program repeatedly renders it once. *)

@@ -305,14 +305,26 @@ let check_solo ?memo ?(checkpoint = fun () -> ())
     (g : Generator.t) =
   let annot = g.Generator.annot and program = g.Generator.program in
   let divergences = ref [] in
+  (* One context per L1 geometry, not per shape: shapes that differ only
+     below L1 (L2, refresh) share it, and the WCET and BCET sides of a
+     shape share it too.  Built inside each shape's guard, so a front end
+     that fails is a violation of every shape that needs it. *)
+  let built = ref [] in
+  let context platform =
+    let fits ctx = Core.Context.compatible ctx platform in
+    match List.find_opt fits !built with
+    | Some ctx -> ctx
+    | None ->
+        let ctx = Core.Context.of_platform ~annot platform program in
+        built := ctx :: !built;
+        ctx
+  in
   let per_shape (shape, platform) =
     checkpoint ();
     match
-      (* One context per shape (the shapes differ in geometry), shared
-         by the WCET and BCET sides. *)
       let ctx =
         match engine with
-        | `Context -> Some (Core.Context.of_platform ~annot platform program)
+        | `Context -> Some (context platform)
         | `Fresh -> None
       in
       let w = wcet_result ?memo ?ctx ?refine ~annot platform program in

@@ -103,11 +103,13 @@ val check_solo :
   ?refine:Refine.config ->
   Generator.t ->
   report
-(** The five [Solo] shapes for one program.  [checkpoint] is called
-    between shapes (pass {!Engine.Pool.check} for cooperative
-    timeouts).  [refine] turns on infeasible-path refinement on the
-    WCET side (salted memo entries, see {!Core.Multicore}); the
-    sandwich then validates the refined bound against the simulator. *)
+(** The five [Solo] shapes for one program.  Under the [`Context]
+    engine the shapes share one context per L1 geometry (three for the
+    five shapes).  [checkpoint] is called between shapes (pass
+    {!Engine.Pool.check} for cooperative timeouts).  [refine] turns on
+    infeasible-path refinement on the WCET side (salted memo entries,
+    see {!Core.Multicore}); the sandwich then validates the refined
+    bound against the simulator. *)
 
 val check_group :
   ?memo:Core.Memo.t ->

@@ -39,7 +39,8 @@ let make ~name ~code ~labels ?entry ?(base = 0) () =
   in
   if n = 0 then invalid_arg "Program.make: empty program";
   let labels = List.sort (fun (_, a) (_, b) -> compare a b) labels in
-  { name; code; labels; entry; base }
+  (* a private copy: writes to the caller's array cannot change it *)
+  { name; code = Array.copy code; labels; entry; base }
 
 let length t = Array.length t.code
 

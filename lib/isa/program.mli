@@ -23,7 +23,10 @@ val make :
   t
 (** [make] validates that every branch/jump/call target is a known label,
     that [entry] (default ["main"], falling back to index 0 when absent)
-    exists, and that label indices are in range.
+    exists, and that label indices are in range.  The program keeps its
+    own copy of [code]: a program never changes after [make] (caches
+    keyed by a program's physical identity rely on it), so the [code]
+    array of a program must never be written.
     @raise Invalid_argument on any violation. *)
 
 val length : t -> int

@@ -39,17 +39,26 @@ let add t name n =
       | C_counter r -> r := !r + n
       | C_gauge _ | C_hist _ -> assert false)
 
-let set_counter t name v =
-  locked t (fun () ->
-      match cell t name Counter (fun () -> C_counter (ref 0)) with
-      | C_counter r -> if v > !r then r := v
-      | C_gauge _ | C_hist _ -> assert false)
+let raise_counter t name v =
+  match cell t name Counter (fun () -> C_counter (ref 0)) with
+  | C_counter r -> if v > !r then r := v
+  | C_gauge _ | C_hist _ -> assert false
 
-let set_gauge t name v =
+let put_gauge t name v =
+  match cell t name Gauge (fun () -> C_gauge (ref 0)) with
+  | C_gauge r -> r := v
+  | C_counter _ | C_hist _ -> assert false
+
+let set_counter t name v = locked t (fun () -> raise_counter t name v)
+let set_gauge t name v = locked t (fun () -> put_gauge t name v)
+
+let mirror t values =
   locked t (fun () ->
-      match cell t name Gauge (fun () -> C_gauge (ref 0)) with
-      | C_gauge r -> r := v
-      | C_counter _ | C_hist _ -> assert false)
+      List.iter
+        (function
+          | `Counter (name, v) -> raise_counter t name v
+          | `Gauge (name, v) -> put_gauge t name v)
+        values)
 
 let observe t name v =
   locked t (fun () ->

@@ -21,6 +21,12 @@ val set_counter : t -> string -> int -> unit
     counts, ring drop totals) into the registry at scrape time. *)
 
 val set_gauge : t -> string -> int -> unit
+
+val mirror :
+  t -> [ `Counter of string * int | `Gauge of string * int ] list -> unit
+(** {!set_counter} or {!set_gauge} for each value, in order, under one
+    lock acquisition — the scrape-time refresh of mirrored values. *)
+
 val observe : t -> string -> int -> unit
 (** Record a value into the named histogram. *)
 

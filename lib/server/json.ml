@@ -9,34 +9,54 @@ type t =
 
 (* ---------------- printer ---------------- *)
 
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let rec plain_from s i =
+  i = String.length s
+  ||
+  match s.[i] with
+  | '"' | '\\' -> false
+  | c -> c >= ' ' && plain_from s (i + 1)
+
+(* Names and keys rarely need escaping: a plain string is added as it
+   is, without a character-by-character copy. *)
+let add_escaped buf s =
+  if plain_from s 0 then Buffer.add_string buf s
+  else
+    String.iter
+      (fun ch ->
+        match ch with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s
+
+let write_string buf s =
+  Buffer.add_char buf '"';
+  add_escaped buf s;
+  Buffer.add_char buf '"'
+
+let write_int buf i = Buffer.add_string buf (string_of_int i)
 
 let rec write buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Int i -> Buffer.add_string buf (string_of_int i)
+  | Int i -> write_int buf i
   | Float f ->
       if Float.is_integer f && Float.abs f < 1e15 then
         Buffer.add_string buf (Printf.sprintf "%.1f" f)
-      else Buffer.add_string buf (Printf.sprintf "%.17g" f)
-  | Str s ->
-      Buffer.add_char buf '"';
-      Buffer.add_string buf (escape s);
-      Buffer.add_char buf '"'
+      else begin
+        let s = Printf.sprintf "%.17g" f in
+        Buffer.add_string buf s;
+        (* an integral float of 16 or 17 digits prints as bare digits,
+           which would read back as an [Int] *)
+        if String.for_all (fun c -> c = '-' || (c >= '0' && c <= '9')) s
+        then Buffer.add_string buf ".0"
+      end
+  | Str s -> write_string buf s
   | List l ->
       Buffer.add_char buf '[';
       List.iteri
@@ -50,9 +70,8 @@ let rec write buf = function
       List.iteri
         (fun i (k, v) ->
           if i > 0 then Buffer.add_char buf ',';
-          Buffer.add_char buf '"';
-          Buffer.add_string buf (escape k);
-          Buffer.add_string buf "\":";
+          write_string buf k;
+          Buffer.add_char buf ':';
           write buf v)
         fields;
       Buffer.add_char buf '}'

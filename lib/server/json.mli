@@ -23,6 +23,15 @@ val to_string : t -> string
 (** Compact one-line rendering (no newlines — safe as one protocol
     line). *)
 
+(** Pieces of {!to_string}, for replies rendered straight into a
+    buffer without building a tree. *)
+
+val write_string : Buffer.t -> string -> unit
+(** The rendering of [Str s]: quoted and escaped. *)
+
+val write_int : Buffer.t -> int -> unit
+(** The rendering of [Int i]. *)
+
 (** {1 Accessors} — all total. *)
 
 val member : string -> t -> t option

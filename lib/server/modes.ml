@@ -82,29 +82,33 @@ let store_key ?refine ~mode ~cores ~kind annot program =
           Core.Memo.program_fingerprint program;
         ]
 
-(* [ctxs]/[solo_ctx] are lazy context packs shared across the modes of a
-   multi-mode request ([analyze_all]); forcing happens inside the
-   per-mode exception guard, so a front-end failure surfaces as each
-   mode's [Error] exactly as it would on the fresh path.  The solo
-   platform has its own L1 geometry, hence its own context. *)
-let analyze_mode ?ctxs ?solo_ctx ?refine ~mode ~cores ~kind
-    ((program, annot) as task) =
-  let ctxs () = Option.map Lazy.force ctxs in
-  let solo_wcet () =
-    match solo_ctx with
-    | Some ctx ->
-        Core.Wcet.analyze_with ?refine ~ctx:(Lazy.force ctx) (solo_platform ())
-    | None -> Core.Wcet.analyze ~annot ?refine (solo_platform ()) program
-  in
-  let solo_bcet () =
-    match solo_ctx with
-    | Some ctx ->
-        Core.Bcet.analyze_with ~ctx:(Lazy.force ctx) (solo_platform ())
-    | None -> Core.Bcet.analyze ~annot (solo_platform ()) program
-  in
+(* The mode-invariant front end of one request.  Lazy, so a request
+   that never reaches a pack (a BCET request for a contended mode) never
+   pays for it; forced inside each mode's exception guard, so a front
+   end that fails is that mode's [Error], as on a fresh analysis. *)
+type pack = {
+  cores : int;
+  task : Isa.Program.t * Dataflow.Annot.t;
+  ctxs : Core.Multicore.contexts Lazy.t;
+  solo_ctx : Core.Context.t Lazy.t;
+}
+
+let pack ~cores ((program, annot) as task) =
+  {
+    cores;
+    task;
+    ctxs = lazy (Core.Multicore.contexts (system ~cores task));
+    solo_ctx =
+      lazy (Core.Context.of_platform ~annot (solo_platform ()) program);
+  }
+
+let contexts p = Lazy.force p.ctxs
+
+let analyze_mode ?refine ~mode ~kind p =
+  let solo_ctx () = Lazy.force p.solo_ctx in
   match (kind, mode) with
   | Bcet, Fuzz.Oracle.Solo -> (
-      match solo_bcet () with
+      match Core.Bcet.analyze_with ~ctx:(solo_ctx ()) (solo_platform ()) with
       | b -> Ok (Store.Entry.of_bcet b)
       | exception Core.Wcet.Not_analysable msg ->
           Error ("not analysable: " ^ msg))
@@ -119,55 +123,50 @@ let analyze_mode ?ctxs ?solo_ctx ?refine ~mode ~cores ~kind
         | Some w -> Ok (Store.Entry.of_wcet w)
         | None -> Error "no analysis result for core 0"
       in
+      let sys () = system ~cores:p.cores p.task in
       match
         match m with
-        | Fuzz.Oracle.Solo -> Ok (Store.Entry.of_wcet (solo_wcet ()))
+        | Fuzz.Oracle.Solo ->
+            Ok
+              (Store.Entry.of_wcet
+                 (Core.Wcet.analyze_with ?refine ~ctx:(solo_ctx ())
+                    (solo_platform ())))
         | Fuzz.Oracle.Oblivious ->
             of_core0
-              (Core.Multicore.analyze_oblivious ?ctxs:(ctxs ()) ?refine
-                 (system ~cores task))
+              (Core.Multicore.analyze_oblivious ~ctxs:(contexts p) ?refine
+                 (sys ()))
         | Fuzz.Oracle.Joint ->
             of_core0
-              (Core.Multicore.analyze_joint ?ctxs:(ctxs ()) ?refine
-                 (system ~cores task) ())
+              (Core.Multicore.analyze_joint ~ctxs:(contexts p) ?refine
+                 (sys ()) ())
         | Fuzz.Oracle.Bypass ->
             of_core0
-              (Core.Multicore.analyze_joint ?ctxs:(ctxs ()) ?refine
-                 (system ~cores task) ~bypass:true ())
+              (Core.Multicore.analyze_joint ~ctxs:(contexts p) ?refine
+                 (sys ()) ~bypass:true ())
         | Fuzz.Oracle.Columnized ->
             of_core0
-              (Core.Multicore.analyze_partitioned ?ctxs:(ctxs ()) ?refine
-                 (system ~cores task) ~scheme:Cache.Partition.Columnization)
+              (Core.Multicore.analyze_partitioned ~ctxs:(contexts p) ?refine
+                 (sys ()) ~scheme:Cache.Partition.Columnization)
         | Fuzz.Oracle.Bankized ->
             of_core0
-              (Core.Multicore.analyze_partitioned ?ctxs:(ctxs ()) ?refine
-                 (system ~cores task) ~scheme:Cache.Partition.Bankization)
+              (Core.Multicore.analyze_partitioned ~ctxs:(contexts p) ?refine
+                 (sys ()) ~scheme:Cache.Partition.Bankization)
         | Fuzz.Oracle.Locked ->
             of_core0
-              (Core.Multicore.analyze_locked ?ctxs:(ctxs ()) ?refine
-                 (system ~cores task))
+              (Core.Multicore.analyze_locked ~ctxs:(contexts p) ?refine
+                 (sys ()))
         | Fuzz.Oracle.Dynamic ->
             of_core0
-              (Core.Multicore.analyze_locked_dynamic ?ctxs:(ctxs ()) ?refine
-                 (system ~cores task))
+              (Core.Multicore.analyze_locked_dynamic ~ctxs:(contexts p)
+                 ?refine (sys ()))
       with
       | r -> r
       | exception Core.Wcet.Not_analysable msg ->
           Error ("not analysable: " ^ msg))
 
 let analyze ?refine ~mode ~cores ~kind task =
-  analyze_mode ?refine ~mode ~cores ~kind task
+  analyze_mode ?refine ~mode ~kind (pack ~cores task)
 
-let analyze_all ?(modes = Fuzz.Oracle.all_modes) ?refine ~cores ~kind
-    ((program, annot) as task) =
-  (* One context pack for the whole request: every contended mode's back
-     end shares the task-group contexts, solo shares its own.  Lazy so a
-     modes list that never touches one pack never pays for it. *)
-  let ctxs = lazy (Core.Multicore.contexts (system ~cores task)) in
-  let solo_ctx =
-    lazy (Core.Context.of_platform ~annot (solo_platform ()) program)
-  in
-  List.map
-    (fun mode ->
-      (mode, analyze_mode ~ctxs ~solo_ctx ?refine ~mode ~cores ~kind task))
-    modes
+let analyze_all ?(modes = Fuzz.Oracle.all_modes) ?refine ~cores ~kind task =
+  let p = pack ~cores task in
+  List.map (fun mode -> (mode, analyze_mode ?refine ~mode ~kind p)) modes

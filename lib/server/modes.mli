@@ -42,6 +42,38 @@ val store_key :
     bounds never share a store entry — on both the {!Core.Memo.key}
     (solo) and fingerprint (multicore) paths. *)
 
+(** {1 Context packs}
+
+    A request's mode-invariant front end: the task group's
+    {!Core.Multicore.contexts} for the contended modes plus one solo
+    context (the solo platform's L1 geometry differs from the system's,
+    so the two cannot be shared).  Every entry point below analyzes from
+    one pack, built lazily: a single mode builds one front end, a whole
+    sweep two, and a request that fails before any analysis none. *)
+
+type pack
+
+val pack : cores:int -> Isa.Program.t * Dataflow.Annot.t -> pack
+(** The pack of a (cores, task) request; nothing is built until a mode
+    needs it.  Not domain-safe: use a pack on one domain. *)
+
+val contexts : pack -> Core.Multicore.contexts
+(** The contended modes' contexts (built on first use), for callers that
+    pair an analysis with helpers taking [?ctxs] / [?ctx], such as
+    {!Core.Multicore.bypass_lines}.
+    @raise Core.Wcet.Not_analysable when the front end rejects the
+    task. *)
+
+val analyze_mode :
+  ?refine:Refine.config ->
+  mode:Fuzz.Oracle.mode ->
+  kind:kind ->
+  pack ->
+  (Store.Entry.t, string) result
+(** One mode of the pack's request, for callers that keep the pack for
+    more work on the same task (as [paratime attribute] does).  Errors
+    as {!analyze}. *)
+
 val analyze :
   ?refine:Refine.config ->
   mode:Fuzz.Oracle.mode ->
@@ -52,8 +84,9 @@ val analyze :
 (** [Error] for: BCET under a contended mode (only [Solo] has a defined
     best case here), a task set the analysis rejects
     ({!Core.Wcet.Not_analysable}), or a mode yielding no core-0 result.
-    Runs on the calling domain — the server submits it to
-    {!Engine.Service}. *)
+    {!analyze_mode} on a fresh pack; bit-identical to the fresh
+    front-to-back analysis of the mode.  Runs on the calling domain —
+    the server submits it to {!Engine.Service}. *)
 
 val analyze_all :
   ?modes:Fuzz.Oracle.mode list ->
@@ -63,11 +96,7 @@ val analyze_all :
   Isa.Program.t * Dataflow.Annot.t ->
   (Fuzz.Oracle.mode * (Store.Entry.t, string) result) list
 (** The multi-mode op behind [mode:"all"]: one entry per requested mode
-    (default: all eight, in {!Fuzz.Oracle.all_modes} order), computed
-    from a *shared* mode-invariant context pack — the task group's
-    {!Core.Multicore.contexts} for the contended modes plus one solo
-    context (the solo platform's L1 geometry differs from the system's,
-    so the packs cannot be shared across that boundary).  Each mode's
-    result is bit-identical to the corresponding single-mode {!analyze}
-    call; per-mode failures surface as that mode's [Error] without
-    aborting the rest. *)
+    (default: all eight, in {!Fuzz.Oracle.all_modes} order), all from one
+    pack.  Each mode's result is bit-identical to the corresponding
+    single-mode {!analyze} call; per-mode failures surface as that
+    mode's [Error] without aborting the rest. *)

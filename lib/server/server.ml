@@ -470,51 +470,90 @@ let stats_reply state id =
    store/ring totals), then render the whole registry.  Pure registry
    read + render — no analysis work, no store access beyond the stats
    accessors — which is what keeps its latency under the warm-hit
-   budget the bench enforces. *)
+   budget the bench enforces.  The values are set under one registry
+   lock, and the JSON reply is written straight into one buffer. *)
 let refresh_metrics state =
   let s = Engine.Service.stats state.service in
-  Obs.set_gauge "service.queue_depth" s.Engine.Service.s_queued;
-  Obs.set_gauge "service.running" s.Engine.Service.s_running;
   let inflight =
     Mutex.lock state.lock;
     let n = state.inflight in
     Mutex.unlock state.lock;
     n
   in
-  Obs.set_gauge "server.inflight" inflight;
-  let mem = Store.Front.mem_stats state.front in
-  Obs.set_gauge "store.mem.entries" mem.Engine.Lru.size;
-  Obs.set_counter "store.mem.hits" mem.Engine.Lru.hits;
-  Obs.set_counter "store.mem.misses" mem.Engine.Lru.misses;
-  (match Store.Front.disk_stats state.front with
-  | None -> ()
-  | Some d ->
-      Obs.set_gauge "store.disk.entries" d.Store.Disk.entries;
-      Obs.set_gauge "store.disk.bytes" d.Store.Disk.bytes;
-      Obs.set_counter "store.disk.hits" d.Store.Disk.hits;
-      Obs.set_counter "store.disk.misses" d.Store.Disk.misses;
-      Obs.set_counter "store.disk.evictions" d.Store.Disk.evictions;
-      Obs.set_counter "store.disk.corrupt" d.Store.Disk.corrupt);
-  Obs.set_counter "store.write_dropped" (Store.Front.write_dropped state.front);
+  let front = state.front in
+  let mem = Store.Front.mem_stats front in
+  let disk =
+    match Store.Front.disk_stats front with
+    | None -> []
+    | Some d ->
+        [
+          `Gauge ("store.disk.entries", d.Store.Disk.entries);
+          `Gauge ("store.disk.bytes", d.Store.Disk.bytes);
+          `Counter ("store.disk.hits", d.Store.Disk.hits);
+          `Counter ("store.disk.misses", d.Store.Disk.misses);
+          `Counter ("store.disk.evictions", d.Store.Disk.evictions);
+          `Counter ("store.disk.corrupt", d.Store.Disk.corrupt);
+        ]
+  in
   let tracks = Obs.Sink.tracks state.sink in
-  Obs.set_gauge "obs.tracks" (List.length tracks);
-  Obs.set_counter "obs.dropped_events"
-    (List.fold_left (fun acc tr -> acc + Obs.Sink.dropped tr) 0 tracks)
+  let dropped =
+    List.fold_left (fun acc tr -> acc + Obs.Sink.dropped tr) 0 tracks
+  in
+  Obs.Metrics.mirror
+    (Obs.Sink.metrics state.sink)
+    ([
+       `Gauge ("service.queue_depth", s.Engine.Service.s_queued);
+       `Gauge ("service.running", s.Engine.Service.s_running);
+       `Gauge ("server.inflight", inflight);
+       `Gauge ("store.mem.entries", mem.Engine.Lru.size);
+       `Counter ("store.mem.hits", mem.Engine.Lru.hits);
+       `Counter ("store.mem.misses", mem.Engine.Lru.misses);
+     ]
+    @ disk
+    @ [
+        `Counter ("store.write_dropped", Store.Front.write_dropped front);
+        `Gauge ("obs.tracks", List.length tracks);
+        `Counter ("obs.dropped_events", dropped);
+      ])
 
-let hist_full_json (snap : Obs.Histogram.snapshot) =
-  Json.Obj
-    [
-      ("count", Json.Int snap.Obs.Histogram.s_count);
-      ("sum", Json.Int snap.Obs.Histogram.s_sum);
-      ("min", Json.Int snap.Obs.Histogram.s_min);
-      ("max", Json.Int snap.Obs.Histogram.s_max);
-      ( "buckets",
-        Json.List
-          (List.map
-             (fun (bucket, count) ->
-               Json.List [ Json.Int bucket; Json.Int count ])
-             snap.Obs.Histogram.s_buckets) );
-    ]
+let add_hist b (snap : Obs.Histogram.snapshot) =
+  Buffer.add_string b "{\"count\":";
+  Json.write_int b snap.Obs.Histogram.s_count;
+  Buffer.add_string b ",\"sum\":";
+  Json.write_int b snap.Obs.Histogram.s_sum;
+  Buffer.add_string b ",\"min\":";
+  Json.write_int b snap.Obs.Histogram.s_min;
+  Buffer.add_string b ",\"max\":";
+  Json.write_int b snap.Obs.Histogram.s_max;
+  Buffer.add_string b ",\"buckets\":[";
+  List.iteri
+    (fun i (bucket, count) ->
+      if i > 0 then Buffer.add_char b ',';
+      Buffer.add_char b '[';
+      Json.write_int b bucket;
+      Buffer.add_char b ',';
+      Json.write_int b count;
+      Buffer.add_char b ']')
+    snap.Obs.Histogram.s_buckets;
+  Buffer.add_string b "]}"
+
+(* One JSON object of the items [value] selects, in registration
+   order. *)
+let add_section b items value =
+  Buffer.add_char b '{';
+  let first = ref true in
+  List.iter
+    (fun item ->
+      match value item with
+      | None -> ()
+      | Some (name, add) ->
+          if not !first then Buffer.add_char b ',';
+          first := false;
+          Json.write_string b name;
+          Buffer.add_char b ':';
+          add b)
+    items;
+  Buffer.add_char b '}'
 
 let metrics_reply state (req : Protocol.request) =
   refresh_metrics state;
@@ -530,32 +569,27 @@ let metrics_reply state (req : Protocol.request) =
              ("body", Json.Str (Obs.Prometheus.render_items items));
            ])
   | Protocol.Fmt_json ->
-      let counters, gauges, hists =
-        List.fold_left
-          (fun (cs, gs, hs) item ->
-            match item with
-            | Obs.Metrics.Counter_v (name, v) ->
-                ((name, Json.Int v) :: cs, gs, hs)
-            | Obs.Metrics.Gauge_v (name, v) ->
-                (cs, (name, Json.Int v) :: gs, hs)
-            | Obs.Metrics.Hist_v (name, snap) ->
-                (cs, gs, (name, hist_full_json snap) :: hs))
-          ([], [], []) items
-      in
-      Json.to_string
-        (Json.Obj
-           [
-             ("id", Json.Int req.Protocol.id);
-             ("ok", Json.Bool true);
-             ("format", Json.Str "json");
-             ( "metrics",
-               Json.Obj
-                 [
-                   ("counters", Json.Obj (List.rev counters));
-                   ("gauges", Json.Obj (List.rev gauges));
-                   ("histograms", Json.Obj (List.rev hists));
-                 ] );
-           ])
+      let b = Buffer.create 4096 in
+      Buffer.add_string b "{\"id\":";
+      Json.write_int b req.Protocol.id;
+      Buffer.add_string b
+        ",\"ok\":true,\"format\":\"json\",\"metrics\":{\"counters\":";
+      add_section b items (function
+        | Obs.Metrics.Counter_v (name, v) ->
+            Some (name, fun b -> Json.write_int b v)
+        | Obs.Metrics.Gauge_v _ | Obs.Metrics.Hist_v _ -> None);
+      Buffer.add_string b ",\"gauges\":";
+      add_section b items (function
+        | Obs.Metrics.Gauge_v (name, v) ->
+            Some (name, fun b -> Json.write_int b v)
+        | Obs.Metrics.Counter_v _ | Obs.Metrics.Hist_v _ -> None);
+      Buffer.add_string b ",\"histograms\":";
+      add_section b items (function
+        | Obs.Metrics.Hist_v (name, snap) ->
+            Some (name, fun b -> add_hist b snap)
+        | Obs.Metrics.Counter_v _ | Obs.Metrics.Gauge_v _ -> None);
+      Buffer.add_string b "}}";
+      Buffer.contents b
 
 let request_stop state =
   Mutex.lock state.lock;

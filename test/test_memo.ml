@@ -117,6 +117,65 @@ let test_poisoned_analysis_never_cached () =
   Alcotest.(check int) "healthy result cached once" 1 st.Engine.Lru.insertions;
   Alcotest.(check bool) "healthy second call hits" true (st.Engine.Lru.hits >= 1)
 
+(* Program fingerprints are remembered per domain by physical identity
+   (the last few programs).  Evicted programs must re-render to the same
+   digest, equal programs built apart must share it, and a program
+   differing in one instruction must not. *)
+let counted n =
+  parse
+    (Printf.sprintf
+       "main:\n\
+       \  li r1, %d\n\
+        loop:\n\
+       \  subi r1, r1, 1\n\
+       \  bne r1, r0, loop\n\
+       \  halt\n"
+       (n + 1))
+
+let solo_key program =
+  Core.Memo.key ~kind:"wcet" ~annot:Dataflow.Annot.empty ~salt:None
+    (Core.Platform.single_core ()) program
+
+let test_fingerprint_table_round_robin () =
+  let programs = Array.init 10 counted in
+  let first = Array.map solo_key programs in
+  Alcotest.(check int) "ten distinct keys" 10
+    (List.length (List.sort_uniq compare (Array.to_list first)));
+  for _round = 1 to 2 do
+    Array.iteri
+      (fun i p ->
+        Alcotest.(check (option string))
+          (Printf.sprintf "program %d keeps its key" i)
+          first.(i) (solo_key p))
+      programs
+  done
+
+let test_fingerprint_by_value () =
+  let a = parse task_src and b = parse task_src in
+  Alcotest.(check bool) "built apart" false (a == b);
+  Alcotest.(check string) "equal programs, equal fingerprints"
+    (Core.Memo.program_fingerprint a)
+    (Core.Memo.program_fingerprint b);
+  Alcotest.(check (option string)) "equal programs, equal keys"
+    (solo_key a) (solo_key b);
+  Alcotest.(check bool) "one instruction apart, different keys" false
+    (solo_key (counted 3) = solo_key (counted 4))
+
+(* Store keys are persisted: an existing store stays warm only while
+   they are byte-identical.  One key per keying path, pinned. *)
+let test_catalog_store_key_pinned () =
+  let b = Option.get (Workloads.Bench_programs.by_name "crc") in
+  let key mode =
+    Server_lib.Modes.store_key ~mode ~cores:2 ~kind:Server_lib.Modes.Wcet
+      b.Workloads.Bench_programs.annot b.Workloads.Bench_programs.program
+  in
+  for _pass = 1 to 2 do
+    Alcotest.(check string) "crc solo key" "cacaf035c54405e183584ca1587cf752"
+      (key Fuzz.Oracle.Solo);
+    Alcotest.(check string) "crc joint key"
+      "51638d97ba86b64ea22e5ffbcfcf2ed6" (key Fuzz.Oracle.Joint)
+  done
+
 let () =
   Alcotest.run "memo"
     [
@@ -136,5 +195,14 @@ let () =
         [
           Alcotest.test_case "raising analysis never cached" `Quick
             test_poisoned_analysis_never_cached;
+        ] );
+      ( "fingerprints",
+        [
+          Alcotest.test_case "keys survive table eviction" `Quick
+            test_fingerprint_table_round_robin;
+          Alcotest.test_case "keys follow the program, not its identity"
+            `Quick test_fingerprint_by_value;
+          Alcotest.test_case "catalog store key pinned" `Quick
+            test_catalog_store_key_pinned;
         ] );
     ]

@@ -676,6 +676,225 @@ let test_busy_backpressure () =
     (Ok "queued") (Engine.Service.await t2);
   Engine.Service.shutdown service
 
+(* ---------------- JSON codec ---------------- *)
+
+(* The printer writes plain strings without a copy and escapes the
+   rest; what it prints must read back as the same value. *)
+let gen_json =
+  let open QCheck.Gen in
+  let int_gen =
+    oneof
+      [
+        int;
+        small_signed_int;
+        oneofl [ 0; -1; max_int; min_int; 999_999_999_999_999_999 ];
+      ]
+  in
+  let str_gen = string_size ~gen:char (int_bound 12) in
+  (* JSON has no spelling for infinities and NaN *)
+  let float_gen =
+    map (fun f -> if Float.is_finite f then f else 0.5) float
+  in
+  sized
+  @@ fix (fun self n ->
+         let leaf =
+           oneof
+             [
+               return Json.Null;
+               map (fun b -> Json.Bool b) bool;
+               map (fun i -> Json.Int i) int_gen;
+               map (fun f -> Json.Float f) float_gen;
+               map (fun s -> Json.Str s) str_gen;
+             ]
+         in
+         if n <= 0 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               ( 1,
+                 map
+                   (fun l -> Json.List l)
+                   (list_size (int_bound 4) (self (n / 3))) );
+               ( 1,
+                 map
+                   (fun l -> Json.Obj l)
+                   (list_size (int_bound 4) (pair str_gen (self (n / 3)))) );
+             ])
+
+(* bytes biased towards JSON's own alphabet, so inputs get deep *)
+let json_char =
+  let alphabet = "{}[],:\"\\-0123456789.eE+ tfnu" in
+  QCheck.Gen.(oneof [ oneofl (List.of_seq (String.to_seq alphabet)); char ])
+
+let json_props =
+  [
+    QCheck.Test.make ~name:"JSON round-trips through the printer" ~count:500
+      (QCheck.make ~print:Json.to_string gen_json)
+      (fun v -> Json.parse (Json.to_string v) = Ok v);
+    (* inline requests carry untrusted bytes: the parser is total *)
+    QCheck.Test.make ~name:"JSON parse is total" ~count:1000
+      (QCheck.make ~print:String.escaped
+         QCheck.Gen.(string_size ~gen:json_char (int_bound 24)))
+      (fun text -> match Json.parse text with Ok _ | Error _ -> true);
+  ]
+
+let test_json_numbers () =
+  let check text expected =
+    Alcotest.(check bool) text true (Json.parse text = expected)
+  in
+  check "007" (Ok (Json.Int 7));
+  check "-0" (Ok (Json.Int 0));
+  check (string_of_int max_int) (Ok (Json.Int max_int));
+  check (string_of_int min_int) (Ok (Json.Int min_int));
+  check "12345678901234567890" (Ok (Json.Float 12345678901234567890.));
+  check "1e3" (Ok (Json.Float 1000.));
+  List.iter
+    (fun f ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%g reads back as a float" f)
+        true
+        (Json.parse (Json.to_string (Json.Float f)) = Ok (Json.Float f)))
+    [ 1e15; -1.5e16; 12345678901234567. ];
+  check "[-2.5,3]" (Ok (Json.List [ Json.Float (-2.5); Json.Int 3 ]));
+  List.iter
+    (fun bad ->
+      Alcotest.(check bool) (bad ^ " rejected") true
+        (Result.is_error (Json.parse bad)))
+    [ "-"; "1-2"; "--1"; "\"unterminated"; "\"bad \\q escape\"" ];
+  Alcotest.(check (option string))
+    "escapes decode" (Some "a\"b\\c\nd\001")
+    (Json.to_str
+       (Result.get_ok (Json.parse {|"a\"b\\c\nd\u0001"|})))
+
+(* ---------------- request layer (Modes) ---------------- *)
+
+module Modes = Server_lib.Modes
+module B = Workloads.Bench_programs
+module MC = Core.Multicore
+
+let catalog name =
+  match B.by_name name with
+  | Some b -> (b.B.program, b.B.annot)
+  | None -> Alcotest.failf "no catalog program %s" name
+
+(* The number of front ends [f] builds: its balanced ctx.build spans. *)
+let ctx_builds f =
+  let sink = Obs.Sink.create () in
+  let r = Obs.with_sink sink f in
+  let builds =
+    List.fold_left
+      (fun acc tr ->
+        List.fold_left
+          (fun acc (e : Obs.Event.t) ->
+            match e.Obs.Event.kind with
+            | Obs.Event.Begin { name = "ctx.build"; _ } -> acc + 1
+            | _ -> acc)
+          acc (Obs.Sink.events tr))
+      0 (Obs.Sink.tracks sink)
+  in
+  (r, builds)
+
+let test_one_front_end_per_request () =
+  List.iter
+    (fun name ->
+      let task = catalog name in
+      List.iter
+        (fun mode ->
+          let label = name ^ "/" ^ Fuzz.Oracle.mode_name mode in
+          let r, builds =
+            ctx_builds (fun () ->
+                Modes.analyze ~mode ~cores:2 ~kind:Modes.Wcet task)
+          in
+          Alcotest.(check bool) (label ^ " analyzed") true (Result.is_ok r);
+          Alcotest.(check int) (label ^ " builds one context") 1 builds;
+          let r, builds =
+            ctx_builds (fun () ->
+                Modes.analyze ~mode ~cores:2 ~kind:Modes.Bcet task)
+          in
+          let expected = if mode = Fuzz.Oracle.Solo then 1 else 0 in
+          Alcotest.(check bool)
+            (label ^ " bcet defined for solo only")
+            (mode = Fuzz.Oracle.Solo) (Result.is_ok r);
+          Alcotest.(check int) (label ^ " bcet contexts") expected builds)
+        Fuzz.Oracle.all_modes;
+      let _, builds =
+        ctx_builds (fun () ->
+            Modes.analyze_all ~cores:2 ~kind:Modes.Wcet task)
+      in
+      Alcotest.(check int) (name ^ " sweep builds two contexts") 2 builds;
+      (* attribute's path: every mode plus the helpers on one pack *)
+      let _, builds =
+        ctx_builds (fun () ->
+            let pack = Modes.pack ~cores:2 task in
+            List.iter
+              (fun mode ->
+                ignore (Modes.analyze_mode ~mode ~kind:Modes.Wcet pack))
+              Fuzz.Oracle.all_modes;
+            ignore (Modes.contexts pack))
+      in
+      Alcotest.(check int) (name ^ " one pack builds two contexts") 2 builds)
+    [ "crc"; "calls" ]
+
+(* The fresh front-to-back analysis of a mode, as [Modes] ran it before
+   requests shared a context pack: the differential reference. *)
+let fresh_entry ?refine ~cores mode ((program, annot) as task) =
+  let sys = MC.default_system ~cores ~tasks:(Array.make cores (Some task)) in
+  let core0 results =
+    match results.(0) with
+    | Some w -> Store.Entry.of_wcet w
+    | None -> Alcotest.fail "no analysis result for core 0"
+  in
+  match mode with
+  | Fuzz.Oracle.Solo ->
+      let l2 = Cache.Config.make ~sets:64 ~assoc:4 ~line_size:16 in
+      Store.Entry.of_wcet
+        (Core.Wcet.analyze ~annot ?refine
+           (Core.Platform.single_core ~l2 ())
+           program)
+  | Fuzz.Oracle.Oblivious -> core0 (MC.analyze_oblivious ?refine sys)
+  | Fuzz.Oracle.Joint -> core0 (MC.analyze_joint ?refine sys ())
+  | Fuzz.Oracle.Bypass -> core0 (MC.analyze_joint ?refine sys ~bypass:true ())
+  | Fuzz.Oracle.Columnized ->
+      core0
+        (MC.analyze_partitioned ?refine sys
+           ~scheme:Cache.Partition.Columnization)
+  | Fuzz.Oracle.Bankized ->
+      core0
+        (MC.analyze_partitioned ?refine sys
+           ~scheme:Cache.Partition.Bankization)
+  | Fuzz.Oracle.Locked -> core0 (MC.analyze_locked ?refine sys)
+  | Fuzz.Oracle.Dynamic -> core0 (MC.analyze_locked_dynamic ?refine sys)
+
+let check_identity ?refine name =
+  let task = catalog name in
+  let sweep = Modes.analyze_all ?refine ~cores:2 ~kind:Modes.Wcet task in
+  List.iter
+    (fun (mode, swept) ->
+      let label = name ^ "/" ^ Fuzz.Oracle.mode_name mode in
+      let entry = function
+        | Ok e -> e
+        | Error msg -> Alcotest.failf "%s: %s" label msg
+      in
+      let single =
+        entry (Modes.analyze ?refine ~mode ~cores:2 ~kind:Modes.Wcet task)
+      in
+      Alcotest.(check bool)
+        (label ^ " single = sweep")
+        true
+        (Store.Entry.equal single (entry swept));
+      Alcotest.(check bool)
+        (label ^ " single = fresh")
+        true
+        (Store.Entry.equal single (fresh_entry ?refine ~cores:2 mode task)))
+    sweep
+
+let test_single_mode_identity () =
+  List.iter (fun (b : B.t) -> check_identity b.B.name) (B.suite ());
+  List.iter
+    (check_identity ~refine:Refine.default)
+    [ "mode_select"; "exclusive_modes"; "dead_arm" ]
+
 let () =
   Alcotest.run "server"
     [
@@ -708,6 +927,16 @@ let () =
             test_scrape_monotone;
           Alcotest.test_case "trace tree stable across worker counts" `Quick
             test_trace_tree_stable_across_workers;
+        ] );
+      ( "json",
+        Alcotest.test_case "numbers and escapes" `Quick test_json_numbers
+        :: List.map QCheck_alcotest.to_alcotest json_props );
+      ( "modes",
+        [
+          Alcotest.test_case "one front end per single-mode request" `Quick
+            test_one_front_end_per_request;
+          Alcotest.test_case "single mode equals sweep and fresh path"
+            `Quick test_single_mode_identity;
         ] );
       ( "loadtest",
         [
