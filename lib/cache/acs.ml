@@ -35,41 +35,40 @@ let check_compat a b =
     invalid_arg "Acs: incompatible states"
 
 (* Join is idempotent, so a physically shared state or set record is its
-   own join.  The L2 fixpoints join a state with its one-set update on
-   every uncertain access; the other sets skip the [TagMap] merge. *)
+   own join: the sets an access leaves alone skip the [TagMap] merge. *)
+let join_set kind s1 s2 =
+  if s1 == s2 then s1
+  else
+    match kind with
+    | Must ->
+        (* intersection, max age *)
+        let ages =
+          TagMap.merge
+            (fun _ x y ->
+              match (x, y) with
+              | Some x, Some y -> Some (max x y)
+              | _ -> None)
+            s1.ages s2.ages
+        in
+        { ages; universe = false }
+    | May ->
+        (* union, min age *)
+        let ages =
+          TagMap.union (fun _ x y -> Some (min x y)) s1.ages s2.ages
+        in
+        { ages; universe = s1.universe || s2.universe }
+    | Pers ->
+        (* union, max age *)
+        let ages =
+          TagMap.union (fun _ x y -> Some (max x y)) s1.ages s2.ages
+        in
+        { ages; universe = false }
+
 let join a b =
   if a == b then a
   else begin
     check_compat a b;
-    let join_set s1 s2 =
-      if s1 == s2 then s1
-      else
-        match a.kind with
-        | Must ->
-            (* intersection, max age *)
-            let ages =
-              TagMap.merge
-                (fun _ x y ->
-                  match (x, y) with
-                  | Some x, Some y -> Some (max x y)
-                  | _ -> None)
-                s1.ages s2.ages
-            in
-            { ages; universe = false }
-        | May ->
-            (* union, min age *)
-            let ages =
-              TagMap.union (fun _ x y -> Some (min x y)) s1.ages s2.ages
-            in
-            { ages; universe = s1.universe || s2.universe }
-        | Pers ->
-            (* union, max age *)
-            let ages =
-              TagMap.union (fun _ x y -> Some (max x y)) s1.ages s2.ages
-            in
-            { ages; universe = false }
-    in
-    { a with sets = Array.map2 join_set a.sets b.sets }
+    { a with sets = Array.map2 (join_set a.kind) a.sets b.sets }
   end
 
 let max_age t =
@@ -125,56 +124,76 @@ let update_set t s tag =
   in
   { s with ages = TagMap.add tag 0 ages }
 
-let access_line t line =
-  let set = Config.set_of_line t.config line in
-  let tag = Config.tag_of_line t.config line in
+(* An access to exactly one of [lines], each candidate's update computed
+   by [update set s tag] from its set's old record.  Only the touched sets
+   are rebuilt: each becomes the join of its candidates' updates, joined
+   with its old record too when the access may leave that set alone,
+   because a candidate lies in another set or because [uncertain] says the
+   access may not happen at all.  This equals the join of the one-line
+   updates of [t] (and of [t] itself when [uncertain]) at the cost of the
+   touched sets only. *)
+let access_sets t ~uncertain update lines =
   let sets = Array.copy t.sets in
-  sets.(set) <- update_set t sets.(set) tag;
+  let touched =
+    List.fold_left
+      (fun touched line ->
+        let set = Config.set_of_line t.config line in
+        let u = update set t.sets.(set) (Config.tag_of_line t.config line) in
+        if List.mem set touched then begin
+          sets.(set) <- join_set t.kind sets.(set) u;
+          touched
+        end
+        else begin
+          sets.(set) <- u;
+          set :: touched
+        end)
+      [] lines
+  in
+  (match touched with
+  | [ _ ] when not uncertain -> ()
+  | _ ->
+      List.iter
+        (fun set -> sets.(set) <- join_set t.kind sets.(set) t.sets.(set))
+        touched);
   { t with sets }
+
+let access_line t line =
+  access_sets t ~uncertain:false (fun _ s tag -> update_set t s tag) [ line ]
+
+let access_one_of ?(uncertain = false) t lines =
+  if lines = [] then invalid_arg "Acs.access_one_of: empty candidate list";
+  access_sets t ~uncertain (fun _ s tag -> update_set t s tag) lines
 
 (* Must-guided persistence update: age pers entries strictly younger than
    the accessed tag's must-age (absent from must = may miss = age all). *)
-let access_line_guided t ~must line =
-  if t.kind <> Pers || must.kind <> Must then
-    invalid_arg "Acs.access_line_guided: wants a Pers state and a Must state";
-  let set = Config.set_of_line t.config line in
-  let tag = Config.tag_of_line t.config line in
-  let assoc = t.config.Config.assoc in
+let update_set_guided t ~must set s tag =
   let bound =
     match TagMap.find_opt tag must.sets.(set).ages with
     | Some a -> a
-    | None -> assoc
+    | None -> t.config.Config.assoc
   in
-  let s = t.sets.(set) in
   let ages =
     TagMap.filter_map
       (fun tg age ->
-        if tg = tag then Some 0
-        else if age < bound then bump t age
+        if tg = tag then Some 0 else if age < bound then bump t age
         else Some age)
       s.ages
   in
-  let sets = Array.copy t.sets in
-  sets.(set) <- { s with ages = TagMap.add tag 0 ages };
-  { t with sets }
+  { s with ages = TagMap.add tag 0 ages }
 
-let access_one_of_guided t ~must lines =
-  match lines with
-  | [] -> invalid_arg "Acs.access_one_of_guided: empty candidate list"
-  | l :: rest ->
-      List.fold_left
-        (fun acc l' -> join acc (access_line_guided t ~must l'))
-        (access_line_guided t ~must l)
-        rest
+let check_guided name t must =
+  if t.kind <> Pers || must.kind <> Must then
+    invalid_arg (name ^ ": wants a Pers state and a Must state")
 
-let access_one_of t lines =
-  match lines with
-  | [] -> invalid_arg "Acs.access_one_of: empty candidate list"
-  | [ l ] -> access_line t l
-  | l :: rest ->
-      List.fold_left
-        (fun acc l' -> join acc (access_line t l'))
-        (access_line t l) rest
+let access_line_guided t ~must line =
+  check_guided "Acs.access_line_guided" t must;
+  access_sets t ~uncertain:false (update_set_guided t ~must) [ line ]
+
+let access_one_of_guided ?(uncertain = false) t ~must lines =
+  check_guided "Acs.access_one_of_guided" t must;
+  if lines = [] then
+    invalid_arg "Acs.access_one_of_guided: empty candidate list";
+  access_sets t ~uncertain (update_set_guided t ~must) lines
 
 (* Unknown access: exactly one set is touched by an unknown tag; the join
    over "which set" makes every set age conservatively (Must/Pers), while

@@ -31,8 +31,13 @@ val join : t -> t -> t
 val access_line : t -> int -> t
 (** Access to a known memory line (line number, not byte address). *)
 
-val access_one_of : t -> int list -> t
-(** Access to exactly one of the given candidate lines. *)
+val access_one_of : ?uncertain:bool -> t -> int list -> t
+(** Access to exactly one of the given candidate lines: the join of the
+    one-line updates of [t].  With [~uncertain:true] the access may also
+    not happen at all, and the result is
+    [join (access_one_of t lines) t].  Either way only the sets the
+    candidates map to are rebuilt; the others are shared with [t].
+    @raise Invalid_argument on an empty candidate list. *)
 
 val access_line_guided : t -> must:t -> int -> t
 (** [Pers] only: Cullmann-style must-guided persistence update.  The
@@ -45,7 +50,10 @@ val access_line_guided : t -> must:t -> int -> t
     @raise Invalid_argument when [t] is not a [Pers] state or [must] not
     a [Must] state. *)
 
-val access_one_of_guided : t -> must:t -> int list -> t
+val access_one_of_guided : ?uncertain:bool -> t -> must:t -> int list -> t
+(** {!access_one_of} with the guided update: the join of the
+    {!access_line_guided} updates of [t], with [t] joined in too when
+    [uncertain]. *)
 
 val access_unknown : t -> t
 (** Access to a statically unknown line. *)

@@ -37,38 +37,41 @@ let instruction_accesses config g id =
 
 let data_accesses config g va ?(max_lines = 16) id =
   let b = Cfg.Graph.block g id in
+  (* Value states before each instruction, built in one pass over the
+     block the first time a cacheable access needs one. *)
+  let states =
+    lazy (Dataflow.Value_analysis.states_before_instrs va g id)
+  in
   List.filter_map
     (fun i ->
       match Isa.Program.instr g.Cfg.Graph.program i with
       | Isa.Instr.Load (sp, _, rb, off) | Isa.Instr.Store (sp, _, rb, off)
         when Isa.Layout.is_cacheable sp -> (
-          match Dataflow.Value_analysis.state_before_instr va g i with
-          | None -> Some { instr = i; kind = Data; target = Unknown }
-          | Some st -> (
-              let base = Dataflow.Value_analysis.reg_interval st rb in
-              let idx =
-                Dataflow.Interval.add base (Dataflow.Interval.const off)
-              in
-              match
-                ( Dataflow.Interval.finite_lower idx,
-                  Dataflow.Interval.finite_upper idx )
-              with
-              | Some lo, Some hi ->
-                  let a_lo = Isa.Layout.byte_addr sp lo in
-                  let a_hi = Isa.Layout.byte_addr sp hi in
-                  let l_lo = Config.line_of_addr config a_lo in
-                  let l_hi = Config.line_of_addr config a_hi in
-                  if l_hi - l_lo + 1 > max_lines then
-                    Some { instr = i; kind = Data; target = Unknown }
-                  else
-                    Some
-                      {
-                        instr = i;
-                        kind = Data;
-                        target =
-                          Lines (List.init (l_hi - l_lo + 1) (fun k -> l_lo + k));
-                      }
-              | _ -> Some { instr = i; kind = Data; target = Unknown }))
+          let st = (Lazy.force states).(i - b.Cfg.Block.first) in
+          let base = Dataflow.Value_analysis.reg_interval st rb in
+          let idx =
+            Dataflow.Interval.add base (Dataflow.Interval.const off)
+          in
+          match
+            ( Dataflow.Interval.finite_lower idx,
+              Dataflow.Interval.finite_upper idx )
+          with
+          | Some lo, Some hi ->
+              let a_lo = Isa.Layout.byte_addr sp lo in
+              let a_hi = Isa.Layout.byte_addr sp hi in
+              let l_lo = Config.line_of_addr config a_lo in
+              let l_hi = Config.line_of_addr config a_hi in
+              if l_hi - l_lo + 1 > max_lines then
+                Some { instr = i; kind = Data; target = Unknown }
+              else
+                Some
+                  {
+                    instr = i;
+                    kind = Data;
+                    target =
+                      Lines (List.init (l_hi - l_lo + 1) (fun k -> l_lo + k));
+                  }
+          | _ -> Some { instr = i; kind = Data; target = Unknown })
       | _ -> None)
     (Cfg.Block.instr_indices b)
 
@@ -77,13 +80,18 @@ let apply_access acs a =
   | Lines ls -> Acs.access_one_of acs ls
   | Unknown -> Acs.access_unknown acs
 
-(* Persistence steps are guided by the in-tandem must state (Cullmann's
-   sound-and-precise update); the must state is advanced alongside. *)
-let apply_access_guided (must, pers) a =
+(* Persistence steps are guided by the must state before the same access
+   (Cullmann's sound-and-precise update). *)
+let apply_access_guided ~must pers a =
   match a.target with
-  | Lines ls ->
-      (Acs.access_one_of must ls, Acs.access_one_of_guided pers ~must ls)
-  | Unknown -> (Acs.access_unknown must, Acs.access_unknown pers)
+  | Lines ls -> Acs.access_one_of_guided pers ~must ls
+  | Unknown -> Acs.access_unknown pers
+
+(* The state before each access of a block, replayed once from the
+   block's fixpoint input.  The persistence transfers read the must state
+   from here, so a fixpoint iteration does not re-step it. *)
+let states_before step input accesses =
+  snd (List.fold_left_map (fun st a -> (step st a, st)) input accesses)
 
 let transfer acs accesses ~had_call =
   let acs = List.fold_left apply_access acs accesses in
@@ -127,14 +135,15 @@ let fixpoint config g ~entry ~accesses_of ~had_call kind =
   in
   (Array.map force ins, Array.map force outs)
 
-(* Fixpoint for the persistence state, with the must fixpoint's per-block
-   input states steering each access's aging. *)
-let pers_fixpoint config g ~entry ~accesses_of ~had_call ~must_ins =
+(* Fixpoint for the persistence state, with the must state before each
+   access steering that access's aging. *)
+let pers_fixpoint config g ~entry ~accesses_of ~had_call ~must_before =
   let entry_state = entry_acs config entry Acs.Pers in
   let transfer_pers id pers =
-    let _, pers =
-      List.fold_left apply_access_guided (must_ins.(id), pers)
-        accesses_of.(id)
+    let pers =
+      List.fold_left2
+        (fun pers must a -> apply_access_guided ~must pers a)
+        pers must_before.(id) accesses_of.(id)
     in
     if had_call.(id) then Acs.havoc pers else pers
   in
@@ -183,25 +192,29 @@ let analyze config g ~entry ~accesses =
   let must_ins, must_outs =
     fixpoint config g ~entry ~accesses_of ~had_call Acs.Must
   in
+  let must_before =
+    Array.map2 (states_before apply_access) must_ins accesses_of
+  in
   let may_ins, may_outs =
     fixpoint config g ~entry ~accesses_of ~had_call Acs.May
   in
   let pers_ins, _ =
-    pers_fixpoint config g ~entry ~accesses_of ~had_call ~must_ins
+    pers_fixpoint config g ~entry ~accesses_of ~had_call ~must_before
   in
   let classifications = Hashtbl.create 64 in
   for id = 0 to n - 1 do
-    (* Replay the three states through the block, classifying at each
-       access point. *)
-    let rec replay must may pers = function
-      | [] -> ()
-      | a :: rest ->
+    (* Replay the may and persistence states through the block,
+       classifying at each access point. *)
+    let (_ : Acs.t * Acs.t) =
+      List.fold_left2
+        (fun (may, pers) must a ->
           Hashtbl.replace classifications (a.instr, a.kind)
             (classify config must may pers a);
-          let must', pers' = apply_access_guided (must, pers) a in
-          replay must' (apply_access may a) pers' rest
+          (apply_access may a, apply_access_guided ~must pers a))
+        (may_ins.(id), pers_ins.(id))
+        must_before.(id) accesses_of.(id)
     in
-    replay must_ins.(id) may_ins.(id) pers_ins.(id) accesses_of.(id)
+    ()
   done;
   {
     config;

@@ -82,6 +82,12 @@ val fixpoint_iterations : unit -> int
     calling domain*.  Read before and after an analysis and subtract for
     telemetry; per-domain storage keeps parallel analyses race-free. *)
 
+val states_before : ('s -> 'a -> 's) -> 's -> 'a list -> 's list
+(** [states_before step input accesses]: the state before each access
+    when [step] replays them from a block's fixpoint input.  The
+    persistence fixpoints read the must state there; exposed for
+    {!Multilevel}. *)
+
 val count_fixpoint_iteration : unit -> unit
 (** Exposed for {!Multilevel}'s L2 fixpoints; not for external use. *)
 

@@ -25,56 +25,45 @@ let cac_of_l1 l1 (a : Analysis.access) =
   | Analysis.Persistent | Analysis.Not_classified -> Uncertain
   | exception Not_found -> Always
 
-let target_bypassed bypass = function
-  | Analysis.Lines ls -> List.for_all bypass ls
-  | Analysis.Unknown -> false
-
-let apply_l2 bypass acs ((a : Analysis.access), cac) =
-  if target_bypassed bypass a.target then acs
+(* The L2 step of one access under its CAC, with [step] the kind's access
+   to one of the live (non-bypassed) candidate lines.  A [Never] access
+   hits L1 and leaves L2 alone; an [Uncertain] one joins every touched set
+   with its old record.  An unknown target ages every set, which already
+   covers the state it may leave alone: [join (access_unknown t) t] is
+   [access_unknown t] for every kind. *)
+let apply_l2_with step bypass acs ((a : Analysis.access), cac) =
+  if cac = Never then acs
   else
-    let updated =
-      match a.target with
-      | Analysis.Lines ls ->
-          (* Partially bypassed candidate sets: non-bypassed lines update. *)
-          let live = List.filter (fun l -> not (bypass l)) ls in
-          if live = [] then acs else Acs.access_one_of acs live
-      | Analysis.Unknown -> Acs.access_unknown acs
-    in
-    match cac with
-    | Always -> updated
-    | Never -> acs
-    | Uncertain -> Acs.join updated acs
+    match a.target with
+    | Analysis.Unknown -> Acs.access_unknown acs
+    | Analysis.Lines ls -> (
+        match List.filter (fun l -> not (bypass l)) ls with
+        | [] -> acs
+        | live -> step ~uncertain:(cac = Uncertain) acs live)
 
-(* Persistence step at L2, guided by the L2 must state (advanced in
-   tandem with the same CAC decisions). *)
-let apply_l2_pers bypass (must, pers) ((a : Analysis.access), cac) =
-  let must' = apply_l2 bypass must (a, cac) in
-  let pers' =
-    if target_bypassed bypass a.target then pers
-    else
-      let updated =
-        match a.target with
-        | Analysis.Lines ls ->
-            let live = List.filter (fun l -> not (bypass l)) ls in
-            if live = [] then pers
-            else Acs.access_one_of_guided pers ~must live
-        | Analysis.Unknown -> Acs.access_unknown pers
-      in
-      match cac with
-      | Always -> updated
-      | Never -> pers
-      | Uncertain -> Acs.join updated pers
-  in
-  (must', pers')
+let apply_l2 bypass =
+  apply_l2_with
+    (fun ~uncertain acs live -> Acs.access_one_of ~uncertain acs live)
+    bypass
 
-let pers_fixpoint_l2 config g ~entry ~tagged ~had_call bypass ~must_ins =
+(* Persistence step at L2, guided by the L2 must state before the same
+   access. *)
+let apply_l2_pers bypass ~must =
+  apply_l2_with
+    (fun ~uncertain pers live ->
+      Acs.access_one_of_guided ~uncertain pers ~must live)
+    bypass
+
+let pers_fixpoint_l2 config g ~entry ~tagged ~had_call bypass ~must_before =
   let entry_state =
     match entry with
     | Analysis.Cold | Analysis.Unknown_entry -> Acs.empty config Acs.Pers
   in
   let transfer id pers =
-    let _, pers =
-      List.fold_left (apply_l2_pers bypass) (must_ins.(id), pers) tagged.(id)
+    let pers =
+      List.fold_left2
+        (fun pers must ac -> apply_l2_pers bypass ~must pers ac)
+        pers must_before.(id) tagged.(id)
     in
     if had_call.(id) then Acs.havoc pers else pers
   in
@@ -128,22 +117,25 @@ let analyze config g ~entry ~cac_of ~l2_accesses ?(bypass = fun _ -> false)
   let must_ins, _ =
     fixpoint_l2 config g ~entry ~tagged ~had_call bypass Acs.Must
   in
+  let must_before =
+    Array.map2 (Analysis.states_before (apply_l2 bypass)) must_ins tagged
+  in
   let may_ins, _ =
     fixpoint_l2 config g ~entry ~tagged ~had_call bypass Acs.May
   in
   let pers_ins, _ =
-    pers_fixpoint_l2 config g ~entry ~tagged ~had_call bypass ~must_ins
+    pers_fixpoint_l2 config g ~entry ~tagged ~had_call bypass ~must_before
   in
   let infos = ref [] in
   for id = 0 to n - 1 do
-    let rec replay must may pers = function
-      | [] -> ()
-      | ((a : Analysis.access), cac) :: rest ->
+    let (_ : Acs.t * Acs.t) =
+      List.fold_left2
+        (fun (may, pers) must (((a : Analysis.access), cac) as ac) ->
           let l2_class =
             if cac = Never then Analysis.Always_hit
-            else if target_bypassed bypass a.target then Analysis.Always_miss
             else
-              (* Reuse the single-level classifier on the L2 states. *)
+              (* Reuse the single-level classifier on the L2 states;
+                 bypassed lines never enter L2. *)
               let classify_one =
                 let assoc = config.Config.assoc in
                 match a.target with
@@ -188,11 +180,11 @@ let analyze config g ~entry ~cac_of ~l2_accesses ?(bypass = fun _ -> false)
               pers_ages = ages_of config pers a.target;
             }
             :: !infos;
-          let may = apply_l2 bypass may (a, cac) in
-          let must, pers = apply_l2_pers bypass (must, pers) (a, cac) in
-          replay must may pers rest
+          (apply_l2 bypass may ac, apply_l2_pers bypass ~must pers ac))
+        (may_ins.(id), pers_ins.(id))
+        must_before.(id) tagged.(id)
     in
-    replay must_ins.(id) may_ins.(id) pers_ins.(id) tagged.(id)
+    ()
   done;
   let infos =
     List.sort (fun a b -> compare (a.instr, a.kind) (b.instr, b.kind)) !infos

@@ -185,6 +185,17 @@ let state_before_instr r g i =
       in
       Some (replay r.ins.(id) b.Cfg.Block.first)
 
+let states_before_instrs r g id =
+  let b = Cfg.Graph.block g id in
+  let states = Array.make (Cfg.Block.length b) r.ins.(id) in
+  for k = 1 to Array.length states - 1 do
+    states.(k) <-
+      transfer_instr_with ~call_clobbers:r.call_clobbers
+        (Isa.Program.instr g.Cfg.Graph.program (b.Cfg.Block.first + k - 1))
+        states.(k - 1)
+  done;
+  states
+
 let reg_interval st r = st.(r)
 
 let edge_state r g e = refine_along g e r.outs.(e.Cfg.Graph.src)

@@ -32,6 +32,12 @@ val state_before_instr : result -> Cfg.Graph.t -> int -> astate option
     replaying transfers from its block entry.  [None] if the instruction is
     unreachable. *)
 
+val states_before_instrs :
+  result -> Cfg.Graph.t -> Cfg.Block.id -> astate array
+(** The state before each instruction of a block, in one forward pass from
+    the block's input: element [k] is {!state_before_instr} of the block's
+    [k]-th instruction. *)
+
 val reg_interval : astate -> Isa.Instr.reg -> Interval.t
 
 val transfer_instr : Isa.Instr.t -> astate -> astate

@@ -293,7 +293,50 @@ let lattice_props =
       (Cache.Acs.empty (cfg ~sets:2 ~assoc:2) k)
       trace
   in
+  (* Candidate lists over lines 0..7 of the 2-set geometry: candidates
+     both collide in one set and span both sets. *)
+  let arb_candidates =
+    QCheck.make
+      ~print:(fun ls -> String.concat "," (List.map string_of_int ls))
+      QCheck.Gen.(list_size (int_range 1 4) (int_range 0 7))
+  in
+  (* The reference for the set-local candidate steps: the join of the
+     one-line updates. *)
+  let join_of update = function
+    | [] -> invalid_arg "join_of"
+    | l :: rest ->
+        List.fold_left
+          (fun acc l -> Cache.Acs.join acc (update l))
+          (update l) rest
+  in
   [
+    QCheck.Test.make ~name:"ACS access_one_of equals the join of updates"
+      ~count:300 (QCheck.pair arb_state arb_candidates)
+      (fun ((k, tr), ls) ->
+        let t = mk k tr in
+        let reference = join_of (Cache.Acs.access_line t) ls in
+        Cache.Acs.equal (Cache.Acs.access_one_of t ls) reference
+        && Cache.Acs.equal
+             (Cache.Acs.access_one_of ~uncertain:true t ls)
+             (Cache.Acs.join reference t));
+    QCheck.Test.make
+      ~name:"ACS access_one_of_guided equals the join of guided updates"
+      ~count:300 (QCheck.pair arb_state arb_candidates)
+      (fun ((_, tr), ls) ->
+        let t = mk Cache.Acs.Pers tr and must = mk Cache.Acs.Must tr in
+        let reference =
+          join_of (fun l -> Cache.Acs.access_line_guided t ~must l) ls
+        in
+        Cache.Acs.equal (Cache.Acs.access_one_of_guided t ~must ls) reference
+        && Cache.Acs.equal
+             (Cache.Acs.access_one_of_guided ~uncertain:true t ~must ls)
+             (Cache.Acs.join reference t));
+    (* The L2 steps apply an uncertain unknown access as a certain one. *)
+    QCheck.Test.make ~name:"ACS unknown access absorbs its input" ~count:200
+      arb_state (fun (k, tr) ->
+        let t = mk k tr in
+        let u = Cache.Acs.access_unknown t in
+        Cache.Acs.equal (Cache.Acs.join u t) u);
     (* [join] and [equal] short-circuit on physically shared states and
        set records, so the laws compare against an unshared copy rebuilt
        from the same trace: that one goes through the [TagMap] merge. *)

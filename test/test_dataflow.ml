@@ -190,6 +190,36 @@ let test_va_state_before_instr () =
   | Some s -> Alcotest.check interval "after addi" (I.const 6) s.(1)
   | None -> Alcotest.fail "reachable"
 
+(* The per-block state array is one forward pass; [state_before_instr]
+   replays from the block entry per instruction.  Both must agree at
+   every instruction of every procedure of a generated program. *)
+let prop_states_before_instrs =
+  QCheck.Test.make ~name:"per-block states equal state_before_instr"
+    ~count:60
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_range 0 999))
+    (fun index ->
+      let t = Fuzz.Generator.generate ~seed:5 ~index () in
+      let cg = Cfg.Callgraph.build t.Fuzz.Generator.program in
+      List.for_all
+        (fun (_, g) ->
+          let va = Dataflow.Value_analysis.analyze g in
+          List.for_all
+            (fun id ->
+              let b = Cfg.Graph.block g id in
+              let states =
+                Dataflow.Value_analysis.states_before_instrs va g id
+              in
+              List.for_all
+                (fun i ->
+                  match Dataflow.Value_analysis.state_before_instr va g i with
+                  | Some st ->
+                      Array.for_all2 I.equal st
+                        states.(i - b.Cfg.Block.first)
+                  | None -> false)
+                (Cfg.Block.instr_indices b))
+            (List.init (Cfg.Graph.num_blocks g) Fun.id))
+        (Cfg.Callgraph.bottom_up cg))
+
 let test_va_branch_refinement () =
   let g, _, _, va =
     analyze_all
@@ -599,6 +629,7 @@ let () =
             test_va_state_before_instr;
           Alcotest.test_case "branch refinement" `Quick
             test_va_branch_refinement;
+          QCheck_alcotest.to_alcotest prop_states_before_instrs;
         ] );
       ( "loop bounds",
         [
