@@ -14,6 +14,44 @@ let classification_to_string = function
 
 type entry_state = Cold | Unknown_entry
 
+module Table = struct
+  (* One slot array per access kind over the procedure's instruction
+     range [base, base + length - 1]; an instruction outside the range,
+     or one without an access of that kind, holds [None]. *)
+  type 'a t = { base : int; fetch : 'a option array; data : 'a option array }
+
+  let create g =
+    let lo, hi =
+      Array.fold_left
+        (fun (lo, hi) (b : Cfg.Block.t) ->
+          (min lo b.Cfg.Block.first, max hi b.Cfg.Block.last))
+        (max_int, min_int) g.Cfg.Graph.blocks
+    in
+    let len = if hi < lo then 0 else hi - lo + 1 in
+    { base = lo; fetch = Array.make len None; data = Array.make len None }
+
+  let slots t = function Fetch -> t.fetch | Data -> t.data
+  let set t kind instr x = (slots t kind).(instr - t.base) <- Some x
+
+  let find_opt t kind instr =
+    let slots = slots t kind and k = instr - t.base in
+    if k < 0 || k >= Array.length slots then None else slots.(k)
+
+  let find t kind instr =
+    match find_opt t kind instr with Some x -> x | None -> raise Not_found
+
+  (* Instruction order, fetch before data at the same instruction: the
+     order of [compare (instr, kind)]. *)
+  let to_list t =
+    let acc = ref [] in
+    let push = function Some x -> acc := x :: !acc | None -> () in
+    for k = Array.length t.fetch - 1 downto 0 do
+      push t.data.(k);
+      push t.fetch.(k)
+    done;
+    !acc
+end
+
 type t = {
   config : Config.t;
   graph : Cfg.Graph.t;
@@ -24,7 +62,8 @@ type t = {
   pers_ins : Acs.t array;
   must_outs : Acs.t array;
   may_outs : Acs.t array;
-  classifications : (int * kind, classification) Hashtbl.t;
+  points : (access * classification) Table.t;
+  sorted : (access * classification) list;  (** instruction order *)
 }
 
 let instruction_accesses config g id =
@@ -61,7 +100,8 @@ let data_accesses config g va ?(max_lines = 16) id =
               let a_hi = Isa.Layout.byte_addr sp hi in
               let l_lo = Config.line_of_addr config a_lo in
               let l_hi = Config.line_of_addr config a_hi in
-              if l_hi - l_lo + 1 > max_lines then
+              (* A negative byte address maps to no line of any cache. *)
+              if a_lo < 0 || l_hi - l_lo + 1 > max_lines then
                 Some { instr = i; kind = Data; target = Unknown }
               else
                 Some
@@ -201,15 +241,14 @@ let analyze config g ~entry ~accesses =
   let pers_ins, _ =
     pers_fixpoint config g ~entry ~accesses_of ~had_call ~must_before
   in
-  let classifications = Hashtbl.create 64 in
+  let points = Table.create g in
   for id = 0 to n - 1 do
     (* Replay the may and persistence states through the block,
        classifying at each access point. *)
     let (_ : Acs.t * Acs.t) =
       List.fold_left2
         (fun (may, pers) must a ->
-          Hashtbl.replace classifications (a.instr, a.kind)
-            (classify config must may pers a);
+          Table.set points a.kind a.instr (a, classify config must may pers a);
           (apply_access may a, apply_access_guided ~must pers a))
         (may_ins.(id), pers_ins.(id))
         must_before.(id) accesses_of.(id)
@@ -226,24 +265,19 @@ let analyze config g ~entry ~accesses =
     pers_ins;
     must_outs;
     may_outs;
-    classifications;
+    points;
+    sorted = Table.to_list points;
   }
 
 let classification t ?(kind = Fetch) instr =
-  match Hashtbl.find_opt t.classifications (instr, kind) with
-  | Some c -> c
-  | None -> raise Not_found
+  snd (Table.find t.points kind instr)
 
-let accesses t =
-  Array.to_list t.accesses_of
-  |> List.concat
-  |> List.sort (fun a b -> compare (a.instr, a.kind) (b.instr, b.kind))
-  |> List.map (fun a -> (a, Hashtbl.find t.classifications (a.instr, a.kind)))
+let accesses t = t.sorted
 
 let persistent_miss_count t =
-  Hashtbl.fold
-    (fun _ c acc -> if c = Persistent then acc + 1 else acc)
-    t.classifications 0
+  List.fold_left
+    (fun acc (_, c) -> if c = Persistent then acc + 1 else acc)
+    0 t.sorted
 
 let must_in t id = t.must_ins.(id)
 let may_in t id = t.may_ins.(id)

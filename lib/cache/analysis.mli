@@ -27,6 +27,28 @@ val classification_to_string : classification -> string
     depends on the caller. *)
 type entry_state = Cold | Unknown_entry
 
+(** Per-access-point tables of one procedure: one array per access kind,
+    indexed by instruction and sized by the procedure's instruction
+    range, so a lookup is an array read. *)
+module Table : sig
+  type 'a t
+
+  val create : Cfg.Graph.t -> 'a t
+  (** Empty, over the graph's instruction range. *)
+
+  val set : 'a t -> kind -> int -> 'a -> unit
+  (** @raise Invalid_argument for an instruction outside the range. *)
+
+  val find : 'a t -> kind -> int -> 'a
+  (** @raise Not_found for an empty slot or an instruction outside the
+      range. *)
+
+  val find_opt : 'a t -> kind -> int -> 'a option
+
+  val to_list : 'a t -> 'a list
+  (** The filled slots in instruction order, fetch before data. *)
+end
+
 type t
 
 val instruction_accesses :
@@ -41,7 +63,8 @@ val data_accesses :
   Cfg.Block.id ->
   access list
 (** Accesses for loads/stores to cacheable spaces.  Address intervals
-    spanning more than [max_lines] lines (default 16) become [Unknown].
+    spanning more than [max_lines] lines (default 16), or reaching below
+    byte address 0, become [Unknown].
     [Io]-space accesses are omitted (uncached). *)
 
 val analyze :
@@ -57,7 +80,8 @@ val classification : t -> ?kind:kind -> int -> classification
     @raise Not_found if that instruction has no such access. *)
 
 val accesses : t -> (access * classification) list
-(** All accesses, by instruction order. *)
+(** All accesses, by instruction order (fetch before data); built once
+    by {!analyze}. *)
 
 val persistent_miss_count : t -> int
 (** Number of accesses classified [Persistent]; each contributes at most

@@ -13,7 +13,7 @@ type access_info = {
 type t = {
   config : Config.t;
   infos : access_info list;  (** instruction order *)
-  by_instr : (int * Analysis.kind, access_info) Hashtbl.t;
+  by_instr : access_info Analysis.Table.t;
   unknown_target : bool;
   bypass : int -> bool;
 }
@@ -126,7 +126,7 @@ let analyze config g ~entry ~cac_of ~l2_accesses ?(bypass = fun _ -> false)
   let pers_ins, _ =
     pers_fixpoint_l2 config g ~entry ~tagged ~had_call bypass ~must_before
   in
-  let infos = ref [] in
+  let by_instr = Analysis.Table.create g in
   for id = 0 to n - 1 do
     let (_ : Acs.t * Acs.t) =
       List.fold_left2
@@ -169,7 +169,7 @@ let analyze config g ~entry ~cac_of ~l2_accesses ?(bypass = fun _ -> false)
               in
               classify_one
           in
-          infos :=
+          Analysis.Table.set by_instr a.kind a.instr
             {
               instr = a.instr;
               kind = a.kind;
@@ -178,19 +178,14 @@ let analyze config g ~entry ~cac_of ~l2_accesses ?(bypass = fun _ -> false)
               l2_class;
               must_ages = ages_of config must a.target;
               pers_ages = ages_of config pers a.target;
-            }
-            :: !infos;
+            };
           (apply_l2 bypass may ac, apply_l2_pers bypass ~must pers ac))
         (may_ins.(id), pers_ins.(id))
         must_before.(id) tagged.(id)
     in
     ()
   done;
-  let infos =
-    List.sort (fun a b -> compare (a.instr, a.kind) (b.instr, b.kind)) !infos
-  in
-  let by_instr = Hashtbl.create 64 in
-  List.iter (fun i -> Hashtbl.replace by_instr (i.instr, i.kind) i) infos;
+  let infos = Analysis.Table.to_list by_instr in
   let unknown_target =
     List.exists
       (fun i -> i.cac <> Never && i.target = Analysis.Unknown)
@@ -200,10 +195,7 @@ let analyze config g ~entry ~cac_of ~l2_accesses ?(bypass = fun _ -> false)
 
 let config t = t.config
 
-let find t kind instr =
-  match Hashtbl.find_opt t.by_instr (instr, kind) with
-  | Some i -> i
-  | None -> raise Not_found
+let find t kind instr = Analysis.Table.find t.by_instr kind instr
 
 let classification t ?(kind = Analysis.Fetch) instr =
   (find t kind instr).l2_class

@@ -3,13 +3,13 @@
    Every approach mode of the survey — oblivious, joint shared-L2,
    bypass, partitioned, locked, dynamic — analyzes the same program over
    the same L1 geometry; only the L2 view, arbiter costs, and therefore
-   the IPET objective coefficients differ.  This module computes the
-   mode-invariant front end once per (program, annotations, cache
-   geometry): callgraph with bottom-up order, per-procedure dominators /
-   loops / value analysis, loop bounds, L1i/L1d ACS fixpoints, the
-   per-procedure L2 access lists, and the prepared (objective-free) IPET
-   constraint systems.  {!Wcet.analyze_with} and {!Bcet.analyze_with}
-   then run only the thin per-mode back end against it. *)
+   the IPET objective coefficients differ.  The front end splits in two:
+   [facts], once per (program, annotations) — callgraph, per-procedure
+   dominators / loops / value analyses / loop bounds, and the lazily
+   prepared (objective-free) IPET systems — and the per-geometry context
+   over them — L1i/L1d ACS fixpoints, the per-procedure L2 access lists
+   and the multilevel memo.  {!Wcet.analyze_with} and
+   {!Bcet.analyze_with} then run only the thin per-mode back end. *)
 
 exception Not_analysable of string
 
@@ -52,6 +52,28 @@ let combined_l2_accesses ~include_fetches l2cfg g va id =
 let config_key (c : Cache.Config.t) =
   (c.Cache.Config.sets, c.Cache.Config.assoc, c.Cache.Config.line_size)
 
+(* The geometry-free half of a procedure's front end. *)
+type proc_facts = {
+  f_graph : Cfg.Graph.t;
+  f_dom : Cfg.Dominators.t;
+  f_loops : Cfg.Loops.t;
+  f_va : Dataflow.Value_analysis.result;
+  f_va_plain : Dataflow.Value_analysis.result Lazy.t;
+  f_loop_bounds : Dataflow.Loop_bounds.bound list;
+  f_entry : Cache.Analysis.entry_state;
+  f_mutually_exclusive : (Cfg.Block.id * Cfg.Block.id) list;
+  f_ipet_wcet : Ipet.prepared Lazy.t;
+  f_ipet_bcet : Ipet.prepared Lazy.t;
+  f_refine_candidates : Refine.cut list Lazy.t;
+}
+
+type facts = {
+  program : Isa.Program.t;
+  callgraph : Cfg.Callgraph.t;
+  root : string;
+  proc_facts : (string * proc_facts) list;  (** bottom-up order *)
+}
+
 type proc = {
   name : string;
   graph : Cfg.Graph.t;
@@ -81,14 +103,12 @@ type proc = {
 }
 
 type t = {
+  facts : facts;
   program : Isa.Program.t;
-  annot : Dataflow.Annot.t;
+  root : string;
   l1i_config : Cache.Config.t;
   l1d_config : Cache.Config.t;
   method_cache : Cache.Method_cache.config option;
-  callgraph : Cfg.Callgraph.t;
-  root : string;
-  call_clobbers : string -> Isa.Instr.reg list;
   mc_analysis : (Cache.Method_cache.config * Cache.Method_cache.analysis) option;
   procs : (string * proc) list;  (** bottom-up order *)
   multilevel_memo :
@@ -159,21 +179,27 @@ let multilevel t (p : proc) ~config ?bypass_key
           Hashtbl.add t.multilevel_memo k m;
           m)
 
-let build_uninstrumented ?(annot = Dataflow.Annot.empty) ?telemetry ~l1i ~l1d
-    ?method_cache program =
-  let span name f =
-    match telemetry with
-    | None -> Obs.span ~cat:"phase" name f
-    | Some t -> Engine.Telemetry.span t name f
-  in
-  let counted name current f =
-    match telemetry with
-    | None -> f ()
-    | Some t ->
-        let before = current () in
-        let finally () = Engine.Telemetry.add t name (current () - before) in
-        Fun.protect ~finally f
-  in
+(* Telemetry is optional and must cost nothing when absent: [span]
+   accumulates a phase's wall-clock time, [counted] charges the delta of
+   a per-domain monotone counter. *)
+let span telemetry name f =
+  match telemetry with
+  | None -> Obs.span ~cat:"phase" name f
+  | Some t -> Engine.Telemetry.span t name f
+
+let counted telemetry name current f =
+  match telemetry with
+  | None -> f ()
+  | Some t ->
+      let before = current () in
+      let finally () = Engine.Telemetry.add t name (current () - before) in
+      Fun.protect ~finally f
+
+let program_args (program : Isa.Program.t) =
+  [ ("program", Obs.Event.Str program.Isa.Program.name) ]
+
+let build_facts ~annot ?telemetry program =
+  let span name f = span telemetry name f in
   let callgraph =
     span "cfg-build" (fun () ->
         try Cfg.Callgraph.build program with
@@ -186,13 +212,7 @@ let build_uninstrumented ?(annot = Dataflow.Annot.empty) ?telemetry ~l1i ~l1d
     span "cfg-build" (fun () -> Dataflow.Clobbers.compute callgraph)
   in
   let call_clobbers = Dataflow.Clobbers.clobbered clobbers in
-  let mc_analysis =
-    span "cache-analysis" (fun () ->
-        Option.map
-          (fun mc -> (mc, Cache.Method_cache.analyze callgraph mc))
-          method_cache)
-  in
-  let build_proc (name, g) =
+  let proc_facts (name, g) =
     let dom, loops =
       span "cfg-loops" (fun () ->
           let dom = Cfg.Dominators.compute g in
@@ -204,35 +224,13 @@ let build_uninstrumented ?(annot = Dataflow.Annot.empty) ?telemetry ~l1i ~l1d
     in
     let va =
       span "value-analysis" (fun () ->
-          counted "worklist-pops" Dataflow.Worklist.pops (fun () ->
+          counted telemetry "worklist-pops" Dataflow.Worklist.pops (fun () ->
               Dataflow.Value_analysis.analyze ~call_clobbers g))
     in
     let loop_bounds =
       span "loop-bounds" (fun () ->
           try Dataflow.Loop_bounds.infer ~call_clobbers g dom loops va annot
           with Dataflow.Loop_bounds.Unbounded msg -> fail "%s" msg)
-    in
-    let entry =
-      if name = root then Cache.Analysis.Cold else Cache.Analysis.Unknown_entry
-    in
-    let l1i_a, l1d_a =
-      span "cache-analysis" (fun () ->
-          counted "worklist-pops" Dataflow.Worklist.pops @@ fun () ->
-          counted "cache-transfers" Dataflow.Worklist.transfers @@ fun () ->
-          counted "cache-fixpoint-iters" Cache.Analysis.fixpoint_iterations
-            (fun () ->
-              let l1i_a =
-                if mc_analysis <> None then None
-                else
-                  Some
-                    (Cache.Analysis.analyze l1i g ~entry
-                       ~accesses:(Cache.Analysis.instruction_accesses l1i g))
-              in
-              let l1d_a =
-                Cache.Analysis.analyze l1d g ~entry
-                  ~accesses:(Cache.Analysis.data_accesses l1d g va)
-              in
-              (l1i_a, l1d_a)))
     in
     let mutually_exclusive =
       List.filter_map
@@ -248,52 +246,107 @@ let build_uninstrumented ?(annot = Dataflow.Annot.empty) ?telemetry ~l1i ~l1d
     in
     ( name,
       {
-        name;
-        graph = g;
-        dom;
-        loops;
-        va;
-        va_plain = lazy (Dataflow.Value_analysis.analyze g);
-        loop_bounds;
-        entry;
-        l1i = l1i_a;
-        l1d = l1d_a;
-        mutually_exclusive;
-        ipet_wcet =
+        f_graph = g;
+        f_dom = dom;
+        f_loops = loops;
+        f_va = va;
+        f_va_plain = lazy (Dataflow.Value_analysis.analyze g);
+        f_loop_bounds = loop_bounds;
+        f_entry =
+          (if name = root then Cache.Analysis.Cold
+           else Cache.Analysis.Unknown_entry);
+        f_mutually_exclusive = mutually_exclusive;
+        f_ipet_wcet =
           lazy
             (Ipet.prepare g ~loops ~loop_bounds ~mutually_exclusive
                ~direction:`Maximize ());
-        ipet_bcet =
-          lazy
-            (Ipet.prepare g ~loops ~loop_bounds ~direction:`Minimize ());
-        refine_candidates =
+        f_ipet_bcet =
+          lazy (Ipet.prepare g ~loops ~loop_bounds ~direction:`Minimize ());
+        f_refine_candidates =
           lazy
             (Refine.candidates ~graph:g ~loops ~loop_bounds ~va ~call_clobbers
                ());
+      } )
+  in
+  {
+    program;
+    callgraph;
+    root;
+    proc_facts = List.map proc_facts (Cfg.Callgraph.bottom_up callgraph);
+  }
+
+let facts ?(annot = Dataflow.Annot.empty) ?telemetry program =
+  Obs.span ~cat:"ctx" ~args:(program_args program) "facts.build" (fun () ->
+      build_facts ~annot ?telemetry program)
+
+let build_geometry ?telemetry (facts : facts) ~l1i ~l1d ?method_cache () =
+  let span name f = span telemetry name f in
+  let mc_analysis =
+    span "cache-analysis" (fun () ->
+        Option.map
+          (fun mc -> (mc, Cache.Method_cache.analyze facts.callgraph mc))
+          method_cache)
+  in
+  let geometry_proc (name, f) =
+    let g = f.f_graph and entry = f.f_entry in
+    let l1i_a, l1d_a =
+      span "cache-analysis" (fun () ->
+          counted telemetry "worklist-pops" Dataflow.Worklist.pops @@ fun () ->
+          counted telemetry "cache-transfers" Dataflow.Worklist.transfers
+          @@ fun () ->
+          counted telemetry "cache-fixpoint-iters"
+            Cache.Analysis.fixpoint_iterations (fun () ->
+              let l1i_a =
+                if mc_analysis <> None then None
+                else
+                  Some
+                    (Cache.Analysis.analyze l1i g ~entry
+                       ~accesses:(Cache.Analysis.instruction_accesses l1i g))
+              in
+              let l1d_a =
+                Cache.Analysis.analyze l1d g ~entry
+                  ~accesses:(Cache.Analysis.data_accesses l1d g f.f_va)
+              in
+              (l1i_a, l1d_a)))
+    in
+    ( name,
+      {
+        name;
+        graph = g;
+        dom = f.f_dom;
+        loops = f.f_loops;
+        va = f.f_va;
+        va_plain = f.f_va_plain;
+        loop_bounds = f.f_loop_bounds;
+        entry;
+        l1i = l1i_a;
+        l1d = l1d_a;
+        mutually_exclusive = f.f_mutually_exclusive;
+        ipet_wcet = f.f_ipet_wcet;
+        ipet_bcet = f.f_ipet_bcet;
+        refine_candidates = f.f_refine_candidates;
         l2_access_memo = Hashtbl.create 2;
       } )
   in
-  let procs = List.map build_proc (Cfg.Callgraph.bottom_up callgraph) in
   {
-    program;
-    annot;
+    facts;
+    program = facts.program;
+    root = facts.root;
     l1i_config = l1i;
     l1d_config = l1d;
     method_cache;
-    callgraph;
-    root;
-    call_clobbers;
     mc_analysis;
-    procs;
+    procs = List.map geometry_proc facts.proc_facts;
     multilevel_memo = Hashtbl.create 8;
   }
 
+let of_facts ?telemetry (facts : facts) ~l1i ~l1d ?method_cache () =
+  Obs.span ~cat:"ctx" ~args:(program_args facts.program) "ctx.build"
+    (fun () -> build_geometry ?telemetry facts ~l1i ~l1d ?method_cache ())
+
 let build ?annot ?telemetry ~l1i ~l1d ?method_cache program =
-  Obs.span ~cat:"ctx"
-    ~args:[ ("program", Obs.Event.Str program.Isa.Program.name) ]
-    "ctx.build"
-    (fun () ->
-      build_uninstrumented ?annot ?telemetry ~l1i ~l1d ?method_cache program)
+  of_facts ?telemetry (facts ?annot ?telemetry program) ~l1i ~l1d
+    ?method_cache ()
 
 let of_platform ?annot ?telemetry (platform : Platform.t) program =
   build ?annot ?telemetry ~l1i:platform.Platform.l1i

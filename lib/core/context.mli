@@ -1,26 +1,48 @@
-(** Mode-invariant analysis context: the per-(program, annotations,
-    cache-geometry) front end computed once and shared by every approach
-    mode and core slot.
+(** Mode-invariant analysis context, in two layers.
 
-    The survey's scenario explosion means each program is bounded under
-    many sharing/arbitration configurations, yet between modes only the
-    L2 view, arbiter costs, and IPET objective coefficients change.  A
-    context holds everything else — the callgraph in bottom-up order,
-    per-procedure dominators, loops, interval value analysis (in both
-    the interprocedurally-refined and plain flavors), loop bounds,
-    L1i/L1d ACS fixpoints, per-procedure L2 access lists, and the
-    prepared objective-free IPET systems ({!Ipet.prepare}) — so an
-    8-mode sweep pays the front end once.
+    The survey's approach families differ only below the L1: in how the
+    shared L2 and the bus are partitioned, locked, bypassed or
+    arbitrated.  So each program is bounded under many configurations
+    whose front ends largely coincide, and the context splits that
+    front end by what it depends on:
 
-    A context is not domain-safe: its lazy fields and memo tables are
-    unsynchronized.  Build one per domain (the parallel fuzz/batch
-    layers fan out at task granularity, so each worker builds its
-    own). *)
+    - {!facts}, built once per (program, annotations): the callgraph in
+      bottom-up order and the call clobbers; per procedure the CFG,
+      dominators, loops, interval value analysis (in both the
+      interprocedurally-refined and plain flavors), loop bounds,
+      mutually exclusive block pairs and entry kind; and, on demand, the
+      prepared objective-free IPET systems ({!Ipet.prepare}) and the
+      refinement candidates.  Nothing here reads a cache geometry.
+    - {!t}, built per L1 geometry over a facts value: the L1i/L1d ACS
+      fixpoints (or the method-cache analysis), the per-procedure L2
+      access lists and the multilevel memo.  Its {!proc} records carry
+      the geometry-free fields too, physically shared with the facts, so
+      consumers read one record.
+
+    Between modes only the L2 view, arbiter costs and IPET objective
+    coefficients change, so an 8-mode sweep over one context pays the
+    front end once.  The fuzz oracle goes one step further: per pool
+    job it builds one facts value per task slot and hands it to the
+    task's three solo L1 geometries and to the group's system geometry,
+    so a task pays its program facts once instead of four times.
+    [Server_lib.Modes.pack] does not share facts between its solo and
+    group contexts: the ledger's traced replay of [analyze_all] builds
+    the two separately and requires the same per-pass work counts as
+    the real sweep.
+
+    Neither layer is domain-safe: lazy fields and memo tables are
+    unsynchronized, so facts and contexts are built and used within one
+    call or one pool job (the parallel fuzz/batch layers fan out at task
+    granularity, so each worker builds its own).  Nothing keyed on
+    program identity outlives that scope. *)
 
 exception Not_analysable of string
 (** The front end rejected the program (recursive call cycle,
     irreducible loop, missing loop bound...).  {!Wcet.Not_analysable}
     is the same exception (rebound), so existing handlers catch both. *)
+
+type facts
+(** The geometry-free program facts of one (program, annotations). *)
 
 type proc = {
   name : string;
@@ -50,19 +72,43 @@ type proc = {
 }
 
 type t = {
+  facts : facts;  (** possibly shared with contexts of other geometries *)
   program : Isa.Program.t;
-  annot : Dataflow.Annot.t;
+  root : string;
   l1i_config : Cache.Config.t;
   l1d_config : Cache.Config.t;
   method_cache : Cache.Method_cache.config option;
-  callgraph : Cfg.Callgraph.t;
-  root : string;
-  call_clobbers : string -> Isa.Instr.reg list;
   mc_analysis : (Cache.Method_cache.config * Cache.Method_cache.analysis) option;
   procs : (string * proc) list;  (** bottom-up order *)
   multilevel_memo :
     (string * (int * int * int) * string, Cache.Multilevel.t) Hashtbl.t;
 }
+
+val facts :
+  ?annot:Dataflow.Annot.t ->
+  ?telemetry:Engine.Telemetry.t ->
+  Isa.Program.t ->
+  facts
+(** Compute the program facts.  Emits one balanced [cat:"ctx"] span
+    named ["facts.build"] around the [cfg-build], [cfg-loops],
+    [value-analysis] and [loop-bounds] phase spans.  The IPET systems,
+    refinement candidates and plain value analysis are computed on first
+    use, once for every context built over these facts.
+    @raise Not_analysable for a recursive call cycle, an irreducible
+    loop or a missing loop bound. *)
+
+val of_facts :
+  ?telemetry:Engine.Telemetry.t ->
+  facts ->
+  l1i:Cache.Config.t ->
+  l1d:Cache.Config.t ->
+  ?method_cache:Cache.Method_cache.config ->
+  unit ->
+  t
+(** The per-geometry context over existing facts: the L1 (or
+    method-cache) analyses only.  Emits one balanced [cat:"ctx"] span
+    named ["ctx.build"].  Contexts of different geometries built over
+    one facts value share its fields physically. *)
 
 val build :
   ?annot:Dataflow.Annot.t ->
@@ -72,10 +118,9 @@ val build :
   ?method_cache:Cache.Method_cache.config ->
   Isa.Program.t ->
   t
-(** Compute the full mode-invariant front end.  Emits one balanced
-    [cat:"ctx"] span named ["ctx.build"] (plus the usual per-phase
-    spans), so traces show one build per program, however many modes
-    consume it.
+(** {!of_facts} over freshly built {!facts}: one ["facts.build"] and
+    one ["ctx.build"] span per call, however many modes consume the
+    result.
     @raise Not_analysable exactly where {!Wcet.analyze} would. *)
 
 val of_platform :

@@ -36,21 +36,33 @@ let platform_of system ~core ~l2 ~arbiter =
 
 (* One mode-invariant context per occupied core slot, shared between
    slots that run the physically-same task — all eight approach modes of
-   a sweep then reuse one front end per distinct task. *)
+   a sweep then reuse one front end per distinct task.  With [facts],
+   a slot's context is built over the caller's facts for that slot
+   instead of fresh ones. *)
 type contexts = Context.t option array
 
-let contexts system =
+let contexts ?facts system =
   let built = ref [] in
-  Array.map
-    (function
+  Array.mapi
+    (fun core task ->
+      match task with
       | None -> None
       | Some (program, annot) -> (
           let same (p, a, _) = p == program && a == annot in
           match List.find_opt same !built with
           | Some (_, _, ctx) -> Some ctx
           | None ->
+              let l1i = system.l1i and l1d = system.l1d in
               let ctx =
-                Context.build ~annot ~l1i:system.l1i ~l1d:system.l1d program
+                match facts with
+                | None -> Context.build ~annot ~l1i ~l1d program
+                | Some f ->
+                    let facts = Lazy.force f.(core) in
+                    let ctx = Context.of_facts facts ~l1i ~l1d () in
+                    if ctx.Context.program != program then
+                      invalid_arg
+                        "Multicore.contexts: facts built for another program";
+                    ctx
               in
               built := (program, annot, ctx) :: !built;
               Some ctx))

@@ -40,13 +40,19 @@ val default_system :
 type contexts = Context.t option array
 (** One mode-invariant {!Context.t} per occupied core slot. *)
 
-val contexts : system -> contexts
+val contexts : ?facts:Context.facts Lazy.t array -> system -> contexts
 (** Build the task set's contexts once, sharing one context between
     slots that run the physically-same (program, annot) pair.  Passing
     the result as [?ctxs] to every [analyze_*] call of a sweep makes the
     whole 8-mode sweep pay one front end per distinct task; results are
-    bit-identical to the context-free path.  Not domain-safe: build one
-    per worker domain. *)
+    bit-identical to the context-free path.  [facts] holds one entry per
+    slot, the {!Context.facts} of that slot's task: each context is then
+    built over them (forced here) instead of over fresh facts, so a
+    caller that also analyzes the task under other L1 geometries pays
+    its program facts once.  Not domain-safe: build one per worker
+    domain.
+    @raise Invalid_argument if a slot's facts were built for another
+    program. *)
 
 val analyze_oblivious :
   ?memo:Memo.t ->

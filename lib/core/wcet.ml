@@ -46,59 +46,50 @@ let no_l2_view =
    is the thin mode-specific layer: direct classification for a private
    slice, co-runner demotion for a shared L2, lock-membership for a
    locked one. *)
-let view_of_multilevel (platform : Platform.t) m =
+let view_of_multilevel (platform : Platform.t) g m =
+  (* An access the fixpoint does not know reaches memory. *)
+  let lookup table kind i =
+    match Cache.Analysis.Table.find_opt table kind i with
+    | Some c -> c
+    | None -> Cache.Analysis.Always_miss
+  in
+  let own kind i =
+    match Cache.Multilevel.classification m ~kind i with
+    | c -> c
+    | exception Not_found -> Cache.Analysis.Always_miss
+  in
+  let table_of classes =
+    let table = Cache.Analysis.Table.create g in
+    List.iter2
+      (fun (info : Cache.Multilevel.access_info) cls ->
+        Cache.Analysis.Table.set table info.Cache.Multilevel.kind
+          info.Cache.Multilevel.instr cls)
+      (Cache.Multilevel.access_infos m)
+      classes;
+    table
+  in
   match platform.Platform.l2 with
   | Platform.No_l2 -> assert false
   | Platform.Private_l2 _ ->
-      let cls kind i =
-        match Cache.Multilevel.classification m ~kind i with
-        | c -> c
-        | exception Not_found -> Cache.Analysis.Always_miss
-      in
-      { l2_class = cls; l2_class_base = cls; multilevel = Some m }
+      { l2_class = own; l2_class_base = own; multilevel = Some m }
   | Platform.Shared_l2 { conflicts; _ } ->
-      let adjusted = Cache.Shared.interfere m conflicts in
-      let table = Hashtbl.create 64 in
-      List.iter2
-        (fun (info : Cache.Multilevel.access_info) (_, cls) ->
-          Hashtbl.replace table
-            (info.Cache.Multilevel.instr, info.Cache.Multilevel.kind)
-            cls)
-        (Cache.Multilevel.access_infos m)
-        adjusted;
-      {
-        l2_class =
-          (fun kind i ->
-            match Hashtbl.find_opt table (i, kind) with
-            | Some c -> c
-            | None -> Cache.Analysis.Always_miss);
-        l2_class_base =
-          (fun kind i ->
-            match Cache.Multilevel.classification m ~kind i with
-            | c -> c
-            | exception Not_found -> Cache.Analysis.Always_miss);
-        multilevel = Some m;
-      }
+      let table =
+        table_of (List.map snd (Cache.Shared.interfere m conflicts))
+      in
+      { l2_class = lookup table; l2_class_base = own; multilevel = Some m }
   | Platform.Locked_l2 { selection_of; _ } ->
       (* Locked contents: trivial classification by membership in the
          selection active at that instruction. *)
-      let table = Hashtbl.create 64 in
-      List.iter
-        (fun (info : Cache.Multilevel.access_info) ->
-          let cls =
-            Cache.Locking.classify
-              (selection_of info.Cache.Multilevel.instr)
-              info.Cache.Multilevel.target
-          in
-          Hashtbl.replace table
-            (info.Cache.Multilevel.instr, info.Cache.Multilevel.kind)
-            cls)
-        (Cache.Multilevel.access_infos m);
-      let cls kind i =
-        match Hashtbl.find_opt table (i, kind) with
-        | Some c -> c
-        | None -> Cache.Analysis.Always_miss
+      let table =
+        table_of
+          (List.map
+             (fun (info : Cache.Multilevel.access_info) ->
+               Cache.Locking.classify
+                 (selection_of info.Cache.Multilevel.instr)
+                 info.Cache.Multilevel.target)
+             (Cache.Multilevel.access_infos m))
       in
+      let cls = lookup table in
       { l2_class = cls; l2_class_base = cls; multilevel = Some m }
 
 (* The per-mode back end: everything that actually depends on the
@@ -179,12 +170,12 @@ let analyze_with ?telemetry ?(solver = `Sparse) ?bypass_key ?refine
                   let m =
                     Context.multilevel ctx p ~config ~bypass_key:"nobypass" ()
                   in
-                  view_of_multilevel platform m
+                  view_of_multilevel platform g m
               | Platform.Shared_l2 { config; bypass; _ } ->
                   let m =
                     Context.multilevel ctx p ~config ?bypass_key ~bypass ()
                   in
-                  view_of_multilevel platform m))
+                  view_of_multilevel platform g m))
     in
     (match l2_view.multilevel with
     | Some m -> multilevels := (name, m) :: !multilevels
@@ -325,12 +316,8 @@ let analyze_with ?telemetry ?(solver = `Sparse) ?bypass_key ?refine
       span "block-costs" @@ fun () ->
       let of_kind analysis kind =
         List.fold_left
-          (fun acc ((a : Cache.Analysis.access), _) ->
+          (fun acc ((a : Cache.Analysis.access), l1) ->
             if a.Cache.Analysis.kind = kind then
-              let l1 =
-                Cache.Analysis.classification analysis ~kind
-                  a.Cache.Analysis.instr
-              in
               let mc =
                 {
                   Pipeline.Cost.l1;

@@ -300,22 +300,31 @@ let collect pairs =
 
 (* ---- solo mode ------------------------------------------------------- *)
 
+(* The program facts of a task, built on first use. *)
+let lazy_facts (g : Generator.t) =
+  lazy (Core.Context.facts ~annot:g.Generator.annot g.Generator.program)
+
 let check_solo ?memo ?(checkpoint = fun () -> ())
-    ?(interp : interp = `Block) ?(engine : engine = `Context) ?refine
+    ?(interp : interp = `Block) ?(engine : engine = `Context) ?refine ?facts
     (g : Generator.t) =
   let annot = g.Generator.annot and program = g.Generator.program in
   let divergences = ref [] in
   (* One context per L1 geometry, not per shape: shapes that differ only
      below L1 (L2, refresh) share it, and the WCET and BCET sides of a
-     shape share it too.  Built inside each shape's guard, so a front end
-     that fails is a violation of every shape that needs it. *)
+     shape share it too.  Every geometry's context sits on the task's one
+     facts value.  Both are forced inside each shape's guard, so a front
+     end that fails is a violation of every shape that needs it. *)
+  let facts = match facts with Some f -> f | None -> lazy_facts g in
   let built = ref [] in
-  let context platform =
+  let context (platform : P.t) =
     let fits ctx = Core.Context.compatible ctx platform in
     match List.find_opt fits !built with
     | Some ctx -> ctx
     | None ->
-        let ctx = Core.Context.of_platform ~annot platform program in
+        let ctx =
+          Core.Context.of_facts (Lazy.force facts) ~l1i:platform.P.l1i
+            ~l1d:platform.P.l1d ?method_cache:platform.P.method_cache ()
+        in
         built := ctx :: !built;
         ctx
   in
@@ -378,8 +387,8 @@ let private_platform (sys : M.system) =
   }
 
 let check_group ?memo ?(checkpoint = fun () -> ())
-    ?(interp : interp = `Block) ?(engine : engine = `Context) ?refine ~modes
-    gens =
+    ?(interp : interp = `Block) ?(engine : engine = `Context) ?refine ?facts
+    ~modes gens =
   let n = Array.length gens in
   if n < 1 then invalid_arg "Oracle.check_group: empty task group";
   let divergences = ref [] in
@@ -396,7 +405,7 @@ let check_group ?memo ?(checkpoint = fun () -> ())
      front end for the whole group run instead of one per mode. *)
   let ctxs =
     match engine with
-    | `Context -> Some (M.contexts sys)
+    | `Context -> Some (M.contexts ?facts sys)
     | `Fresh -> None
   in
   let ctx_for core = Option.bind ctxs (fun a -> a.(core)) in
@@ -662,6 +671,9 @@ let run_campaign ?(params = Generator.default_params) ?(modes = all_modes)
                     ~index:(((gi * cores) + k) mod count)
                     ())
             in
+            (* One facts value per task slot: the task's solo L1
+               geometries and the group's system geometry share it. *)
+            let facts = Array.map lazy_facts gens in
             let solo =
               if List.mem Solo modes then
                 List.filter_map
@@ -669,7 +681,7 @@ let run_campaign ?(params = Generator.default_params) ?(modes = all_modes)
                     if (gi * cores) + k < count then
                       Some
                         (check_solo ?memo ~checkpoint ~interp ~engine ?refine
-                           gens.(k))
+                           ~facts:facts.(k) gens.(k))
                     else None)
                   (List.init cores (fun i -> i))
               else []
@@ -677,7 +689,7 @@ let run_campaign ?(params = Generator.default_params) ?(modes = all_modes)
             let grouped =
               if contended = [] then empty_report
               else
-                check_group ?memo ~checkpoint ~interp ~engine ?refine
+                check_group ?memo ~checkpoint ~interp ~engine ?refine ~facts
                   ~modes:contended gens
             in
             merge_reports (solo @ [ grouped ])))

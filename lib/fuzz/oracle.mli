@@ -101,15 +101,19 @@ val check_solo :
   ?interp:interp ->
   ?engine:engine ->
   ?refine:Refine.config ->
+  ?facts:Core.Context.facts Lazy.t ->
   Generator.t ->
   report
 (** The five [Solo] shapes for one program.  Under the [`Context]
     engine the shapes share one context per L1 geometry (three for the
-    five shapes).  [checkpoint] is called between shapes (pass
-    {!Engine.Pool.check} for cooperative timeouts).  [refine] turns on
-    infeasible-path refinement on the WCET side (salted memo entries,
-    see {!Core.Multicore}); the sandwich then validates the refined
-    bound against the simulator. *)
+    five shapes), all built over one {!Core.Context.facts} value:
+    [facts] when given (it must be the program's), else the check's
+    own.  It is forced inside each shape's guard, so a front end that
+    fails is a violation of each shape.  [checkpoint] is called between
+    shapes (pass {!Engine.Pool.check} for cooperative timeouts).
+    [refine] turns on infeasible-path refinement on the WCET side
+    (salted memo entries, see {!Core.Multicore}); the sandwich then
+    validates the refined bound against the simulator. *)
 
 val check_group :
   ?memo:Core.Memo.t ->
@@ -117,12 +121,16 @@ val check_group :
   ?interp:interp ->
   ?engine:engine ->
   ?refine:Refine.config ->
+  ?facts:Core.Context.facts Lazy.t array ->
   modes:mode list ->
   Generator.t array ->
   report
 (** One task group (one task per core, 1..4 cores) through every
     requested contended mode ([Solo] entries are ignored here).
-    [Columnized] needs at most as many cores as the L2 has ways (4). *)
+    [Columnized] needs at most as many cores as the L2 has ways (4).
+    Under the [`Context] engine, [facts] (one entry per task, as for
+    {!Core.Multicore.contexts}) lets the group's contexts share the
+    program facts a {!check_solo} of the same task already forced. *)
 
 type mode_stats = {
   s_mode : mode;
@@ -168,7 +176,10 @@ val run_campaign :
 (** Generates programs [0..count-1] of [seed], groups them into task
     sets of [cores] (default 4; the last group wraps around to fill its
     cores), and fans one {!Engine.Pool} job per group over [workers]
-    domains.  Results are deterministic at any worker count.
+    domains.  Each job builds one lazy {!Core.Context.facts} per task
+    slot and passes it to the task's {!check_solo} and to
+    {!check_group}, so a task's solo and group contexts share one
+    front end.  Results are deterministic at any worker count.
     @raise Invalid_argument if [count <= 0] or [cores] outside 1..4. *)
 
 val csv_header : string

@@ -554,6 +554,76 @@ let test_dcache_unknown_address () =
   | [ Cache.Analysis.Lines _; Cache.Analysis.Unknown ] -> ()
   | _ -> Alcotest.fail "expected known then unknown target"
 
+let test_dcache_negative_address () =
+  (* Index -300000 of the data space lies below byte address 0: no cache
+     line holds it, so the access is unknown rather than a negative set. *)
+  let g = build "main:\n  li r1, -300000\n  ld.d r2, 0(r1)\n  halt\n" in
+  let c = Cache.Config.make ~sets:4 ~assoc:2 ~line_size:8 in
+  let va = Dataflow.Value_analysis.analyze g in
+  match Cache.Analysis.data_accesses c g va g.Cfg.Graph.entry with
+  | [ { Cache.Analysis.target = Cache.Analysis.Unknown; _ } ] -> ()
+  | _ -> Alcotest.fail "expected one unknown data access"
+
+let test_classification_not_found () =
+  let g =
+    build "main:\n  nop\n  ld.d r2, 4(r0)\n  call f\n  halt\nf:\n  ret\n"
+  in
+  let c = Cache.Config.make ~sets:4 ~assoc:2 ~line_size:8 in
+  let va = Dataflow.Value_analysis.analyze g in
+  let a =
+    Cache.Analysis.analyze c g ~entry:Cache.Analysis.Cold
+      ~accesses:(Cache.Analysis.data_accesses c g va)
+  in
+  ignore (Cache.Analysis.classification a ~kind:Cache.Analysis.Data 1);
+  let missing label kind i =
+    Alcotest.check_raises label Not_found (fun () ->
+        ignore (Cache.Analysis.classification a ~kind i))
+  in
+  missing "no data access at a nop" Cache.Analysis.Data 0;
+  missing "no fetch in a data analysis" Cache.Analysis.Fetch 1;
+  missing "callee instruction" Cache.Analysis.Data 4;
+  missing "past the program" Cache.Analysis.Data 100;
+  missing "negative index" Cache.Analysis.Data (-1)
+
+(* [accesses] is built once, from the per-kind tables; it must equal the
+   list the per-call construction gave: every block's accesses, sorted
+   by (instruction, kind), each paired with its classification. *)
+let prop_accesses_sorted_once =
+  QCheck.Test.make ~name:"accesses equals the sorted per-block list" ~count:30
+    QCheck.(pair (int_range 0 1000) (int_range 0 63))
+    (fun (seed, index) ->
+      let gen = Fuzz.Generator.generate ~seed ~index () in
+      let c = Cache.Config.make ~sets:4 ~assoc:2 ~line_size:16 in
+      let callgraph = Cfg.Callgraph.build gen.Fuzz.Generator.program in
+      List.for_all
+        (fun (_, g) ->
+          let va = Dataflow.Value_analysis.analyze g in
+          List.for_all
+            (fun accesses ->
+              let t =
+                Cache.Analysis.analyze c g ~entry:Cache.Analysis.Cold ~accesses
+              in
+              let expected =
+                List.init (Cfg.Graph.num_blocks g) accesses
+                |> List.concat
+                |> List.sort (fun (a : Cache.Analysis.access) b ->
+                       compare
+                         (a.Cache.Analysis.instr, a.Cache.Analysis.kind)
+                         (b.Cache.Analysis.instr, b.Cache.Analysis.kind))
+                |> List.map (fun (a : Cache.Analysis.access) ->
+                       ( a,
+                         Cache.Analysis.classification t
+                           ~kind:a.Cache.Analysis.kind a.Cache.Analysis.instr
+                       ))
+              in
+              Cache.Analysis.accesses t = expected)
+            [
+              Cache.Analysis.instruction_accesses c g;
+              Cache.Analysis.data_accesses c g va;
+              Core.Context.combined_l2_accesses ~include_fetches:true c g va;
+            ])
+        (Cfg.Callgraph.bottom_up callgraph))
+
 (* ------------------------------------------------------------------ *)
 (* Multilevel                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -864,6 +934,11 @@ let () =
             test_dcache_accesses_extraction;
           Alcotest.test_case "unknown data address" `Quick
             test_dcache_unknown_address;
+          Alcotest.test_case "negative data address is unknown" `Quick
+            test_dcache_negative_address;
+          Alcotest.test_case "classification raises Not_found" `Quick
+            test_classification_not_found;
+          QCheck_alcotest.to_alcotest prop_accesses_sorted_once;
         ] );
       ( "multilevel",
         [

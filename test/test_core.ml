@@ -699,7 +699,52 @@ let test_context_backend_identical () =
   let bs = Core.Bcet.analyze_with ~ctx platform in
   Alcotest.(check int) "bcet" bf.Core.Bcet.bcet bs.Core.Bcet.bcet;
   Alcotest.(check bool) "bcet attrib identical" true
-    (Attrib.of_bcet bf = Attrib.of_bcet bs)
+    (Attrib.of_bcet bf = Attrib.of_bcet bs);
+  (* One facts value under two L1 geometries — the solo 64x2 L1 and the
+     2-core system's 4x2 L1 — as the fuzz oracle shares it: the contexts
+     hold the geometry-free facts physically, and each context's back
+     ends equal the fresh analysis on its own platform. *)
+  let facts = Core.Context.facts ~annot program in
+  let sys =
+    Core.Multicore.default_system ~cores:2
+      ~tasks:(Array.make 2 (Some (program, annot)))
+  in
+  let system_platform =
+    {
+      platform with
+      Core.Platform.l1i = sys.Core.Multicore.l1i;
+      l1d = sys.Core.Multicore.l1d;
+      l2 = Core.Platform.Private_l2 sys.Core.Multicore.l2;
+    }
+  in
+  let of_platform (pl : Core.Platform.t) =
+    Core.Context.of_facts facts ~l1i:pl.Core.Platform.l1i
+      ~l1d:pl.Core.Platform.l1d ()
+  in
+  let solo_ctx = of_platform platform
+  and sys_ctx = of_platform system_platform in
+  List.iter2
+    (fun (name, (a : Core.Context.proc)) (_, (b : Core.Context.proc)) ->
+      Alcotest.(check bool) (name ^ " shares va") true
+        (a.Core.Context.va == b.Core.Context.va);
+      Alcotest.(check bool) (name ^ " shares ipet_wcet") true
+        (a.Core.Context.ipet_wcet == b.Core.Context.ipet_wcet))
+    solo_ctx.Core.Context.procs sys_ctx.Core.Context.procs;
+  List.iter
+    (fun (label, ctx, pl) ->
+      let fw = Core.Wcet.analyze ~annot pl program
+      and sw = Core.Wcet.analyze_with ~ctx pl in
+      Alcotest.(check int) (label ^ " wcet") fw.Core.Wcet.wcet
+        sw.Core.Wcet.wcet;
+      Alcotest.(check bool) (label ^ " wcet attrib") true
+        (Attrib.of_wcet fw = Attrib.of_wcet sw);
+      let fb = Core.Bcet.analyze ~annot pl program
+      and sb = Core.Bcet.analyze_with ~ctx pl in
+      Alcotest.(check int) (label ^ " bcet") fb.Core.Bcet.bcet
+        sb.Core.Bcet.bcet;
+      Alcotest.(check bool) (label ^ " bcet attrib") true
+        (Attrib.of_bcet fb = Attrib.of_bcet sb))
+    [ ("solo L1", solo_ctx, platform); ("system L1", sys_ctx, system_platform) ]
 
 let test_context_shared_across_slots () =
   let sys = mk_system 4 in

@@ -114,7 +114,9 @@ let prop_solo_sandwich =
    and error — must be structurally identical between the context-based
    and the fresh per-mode analysis, over every mode.  [report] is pure
    data (ints, strings, cost vectors), so polymorphic equality IS
-   bit-identity here. *)
+   bit-identity here.  The context engine runs twice: with each check's
+   own program facts, and with one lazy facts value per task shared by
+   the task's solo check and the group check, as [run_campaign] does. *)
 let prop_engines_bit_identical =
   QCheck.Test.make
     ~name:"context engine bit-identical to fresh (8 modes + solo shapes)"
@@ -124,9 +126,19 @@ let prop_engines_bit_identical =
       let ta = G.assemble ~name:"qcheck-a" pa
       and tb = G.assemble ~name:"qcheck-b" pb in
       let group = [| ta; tb |] in
-      O.check_group ~modes:O.all_modes ~engine:`Context group
-      = O.check_group ~modes:O.all_modes ~engine:`Fresh group
-      && O.check_solo ~engine:`Context ta = O.check_solo ~engine:`Fresh ta)
+      let fresh_group = O.check_group ~modes:O.all_modes ~engine:`Fresh group
+      and fresh_solo = O.check_solo ~engine:`Fresh ta in
+      let facts =
+        Array.map
+          (fun (t : G.t) ->
+            lazy (Core.Context.facts ~annot:t.G.annot t.G.program))
+          group
+      in
+      O.check_group ~modes:O.all_modes ~engine:`Context group = fresh_group
+      && O.check_solo ~engine:`Context ta = fresh_solo
+      && O.check_solo ~engine:`Context ~facts:facts.(0) ta = fresh_solo
+      && O.check_group ~modes:O.all_modes ~engine:`Context ~facts group
+         = fresh_group)
 
 (* ------------------------------------------------------------------ *)
 (* Generator determinism                                               *)
@@ -167,6 +179,20 @@ let test_campaign_worker_independent () =
     O.csv_of_report (O.run_campaign ~seed:5 ~count:8 ~workers ()).O.report
   in
   Alcotest.(check string) "1 worker = 4 workers" (run 1) (run 4)
+
+(* The campaign shares each task's program facts between its solo and
+   group checks; the fresh engine builds nothing shared. *)
+let test_campaign_engines_identical () =
+  List.iter
+    (fun seed ->
+      let run engine =
+        (O.run_campaign ~seed ~count:8 ~cores:2 ~workers:1 ~engine ()).O.report
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d: context report = fresh report" seed)
+        true
+        (run `Context = run `Fresh))
+    [ 11; 12 ]
 
 let test_campaign_rejects_bad_inputs () =
   let raises f =
@@ -214,6 +240,8 @@ let () =
             test_campaign_clean;
           Alcotest.test_case "worker-count independent" `Quick
             test_campaign_worker_independent;
+          Alcotest.test_case "context engine equals fresh" `Quick
+            test_campaign_engines_identical;
           Alcotest.test_case "rejects bad inputs" `Quick
             test_campaign_rejects_bad_inputs;
           Alcotest.test_case "csv shape" `Quick test_csv_shape;

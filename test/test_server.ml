@@ -895,6 +895,21 @@ let test_single_mode_identity () =
     (check_identity ~refine:Refine.default)
     [ "mode_select"; "exclusive_modes"; "dead_arm" ]
 
+(* A constant address below the data space's first byte: every mode
+   classifies the access as unknown and bounds the program. *)
+let test_negative_address_bounded () =
+  let program =
+    Isa.Asm.parse ~name:"neg"
+      "main:\n  li r1, -300000\n  ld.d r2, 0(r1)\n  halt\n"
+  in
+  List.iter
+    (fun (mode, r) ->
+      match r with
+      | Ok (_ : Store.Entry.t) -> ()
+      | Error msg -> Alcotest.failf "%s: %s" (Fuzz.Oracle.mode_name mode) msg)
+    (Modes.analyze_all ~cores:2 ~kind:Modes.Wcet
+       (program, Dataflow.Annot.empty))
+
 let () =
   Alcotest.run "server"
     [
@@ -937,6 +952,8 @@ let () =
             test_one_front_end_per_request;
           Alcotest.test_case "single mode equals sweep and fresh path"
             `Quick test_single_mode_identity;
+          Alcotest.test_case "negative static address bounded in every mode"
+            `Quick test_negative_address_bounded;
         ] );
       ( "loadtest",
         [
