@@ -68,12 +68,11 @@ let dump_wcet prog mode core (w : Core.Wcet.t) =
     w.Core.Wcet.multilevels
 
 let () =
-  let l2 = Cache.Config.make ~sets:64 ~assoc:4 ~line_size:16 in
   List.iter
     (fun (b : Workloads.Bench_programs.t) ->
       let prog = b.Workloads.Bench_programs.name in
       let task = (b.Workloads.Bench_programs.program, b.annot) in
-      let solo = Core.Platform.single_core ~l2 () in
+      let solo = Core.Mode.solo_platform () in
       let ctx = Core.Context.of_platform ~annot:b.annot solo (fst task) in
       dump_l1 (prog ^ " solo") ctx;
       dump_wcet prog "solo" 0 (Core.Wcet.analyze_with ~ctx solo);
@@ -81,23 +80,11 @@ let () =
       let ctxs = M.contexts sys in
       Option.iter (dump_l1 (prog ^ " multi")) ctxs.(0);
       List.iter
-        (fun (mode, results) ->
-          Array.iteri
-            (fun core -> Option.iter (dump_wcet prog mode core))
-            (Lazy.force results))
-        [
-          ("oblivious", lazy (M.analyze_oblivious ~ctxs sys));
-          ("joint", lazy (M.analyze_joint ~ctxs sys ()));
-          ("bypass", lazy (M.analyze_joint ~ctxs sys ~bypass:true ()));
-          ( "columnized",
-            lazy
-              (M.analyze_partitioned ~ctxs sys
-                 ~scheme:Cache.Partition.Columnization) );
-          ( "bankized",
-            lazy
-              (M.analyze_partitioned ~ctxs sys
-                 ~scheme:Cache.Partition.Bankization) );
-          ("locked", lazy (M.analyze_locked ~ctxs sys));
-          ("dynamic", lazy (M.analyze_locked_dynamic ~ctxs sys));
-        ])
+        (fun mode ->
+          if mode <> Core.Mode.Solo then
+            Array.iteri
+              (fun core ->
+                Option.iter (dump_wcet prog (Core.Mode.name mode) core))
+              (Core.Mode.analyze ~ctxs sys mode))
+        Core.Mode.all)
     (Workloads.Bench_programs.suite ())

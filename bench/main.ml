@@ -66,28 +66,15 @@ let system_of ?(arbiter = fun cores -> Interconnect.Arbiter.Round_robin { cores 
   in
   { sys with Core.Multicore.arbiter = arbiter cores }
 
-let simulate_shared sys (tasks : B.t array) =
-  let cfg =
-    Core.Multicore.machine_config sys
-      ~l2:(Sim.Machine.Shared_l2 sys.Core.Multicore.l2)
+(* The group run of a contended mode, one result per task's core. *)
+let simulate mode sys (tasks : B.t array) =
+  let setups =
+    Array.map (fun (b : B.t) -> Sim.Machine.task b.B.program) tasks
   in
-  Sim.Machine.run cfg
-    ~cores:(Array.map (fun (b : B.t) -> Sim.Machine.task b.B.program) tasks)
-    ()
-
-let simulate_partitioned sys (tasks : B.t array) ~scheme =
-  let n = Array.length tasks in
-  let alloc = Cache.Partition.even_shares scheme sys.Core.Multicore.l2 ~parts:n in
-  let slices =
-    Array.init n (fun i ->
-        Cache.Partition.partition_config sys.Core.Multicore.l2 alloc ~index:i)
-  in
-  let cfg =
-    Core.Multicore.machine_config sys ~l2:(Sim.Machine.Private_l2 slices)
-  in
-  Sim.Machine.run cfg
-    ~cores:(Array.map (fun (b : B.t) -> Sim.Machine.task b.B.program) tasks)
-    ()
+  match Core.Mode.runs sys mode setups with
+  | [ { Core.Mode.config; setups; _ } ] ->
+      Sim.Machine.run config ~cores:setups ()
+  | _ -> invalid_arg "simulate: not a group-run mode"
 
 let wcet_or_zero = function Some (w : Core.Wcet.t) -> w.Core.Wcet.wcet | None -> 0
 
@@ -98,17 +85,7 @@ let wcet_or_zero = function Some (w : Core.Wcet.t) -> w.Core.Wcet.wcet | None ->
 let t1 () =
   header "T1" "single-core WCET bounds vs. observed execution (full suite)";
   let platform = Core.Platform.single_core ~l2:l2_default () in
-  let sim_cfg =
-    {
-      Sim.Machine.latencies = platform.Core.Platform.latencies;
-      l1i = platform.Core.Platform.l1i;
-      l1d = platform.Core.Platform.l1d;
-      l2 = Sim.Machine.Private_l2 [| l2_default |];
-      arbiter = Interconnect.Arbiter.Private;
-      refresh = platform.Core.Platform.refresh;
-      i_path = Sim.Machine.Conventional;
-    }
-  in
+  let sim_cfg = Core.Platform.machine platform in
   printf "%-14s %8s %10s %10s %8s\n" "benchmark" "instrs" "observed"
     "WCET" "ratio";
   rule 56;
@@ -134,7 +111,7 @@ let t2 () =
   let sys = system_of tasks in
   let oblivious = Core.Multicore.analyze_oblivious ~memo sys in
   let joint = Core.Multicore.analyze_joint ~memo sys () in
-  let rs = simulate_shared sys tasks in
+  let rs = simulate Core.Mode.Joint sys tasks in
   printf "%-8s %10s %12s %12s\n" "core" "observed" "oblivious" "joint";
   rule 48;
   Array.iteri
@@ -173,28 +150,10 @@ let t3 () =
         Core.Multicore.analyze_joint ~memo sys ~overlaps:(fun _ _ -> false) ()
       in
       (* Validate the bypass bound on a bypass-capable machine. *)
-      (let cfg =
-         Core.Multicore.machine_config sys
-           ~l2:(Sim.Machine.Shared_l2 sys.Core.Multicore.l2)
-       in
-       let cores =
-         Array.map
-           (fun (b : B.t) ->
-             let lines =
-               Core.Multicore.bypass_lines sys (b.B.program, b.B.annot)
-             in
-             let set = Hashtbl.create (2 * List.length lines + 1) in
-             List.iter (fun l -> Hashtbl.replace set l ()) lines;
-             {
-               (Sim.Machine.task b.B.program) with
-               Sim.Machine.l2_bypass = (fun l -> Hashtbl.mem set l);
-             })
-           tasks
-       in
-       let rs = Sim.Machine.run cfg ~cores () in
-       check_sound
-         ~bound:(wcet_or_zero bypass.(0))
-         ~observed:rs.(0).Sim.Machine.cycles);
+      let rs = simulate Core.Mode.Bypass sys tasks in
+      check_sound
+        ~bound:(wcet_or_zero bypass.(0))
+        ~observed:rs.(0).Sim.Machine.cycles;
       (* Degradation metric: fraction of the victim's L2 accesses whose
          classification the co-runner conflicts destroyed. *)
       let degraded =
@@ -314,8 +273,8 @@ let t5 () =
     Core.Multicore.analyze_partitioned ~memo sys
       ~scheme:Cache.Partition.Bankization
   in
-  let col_rs = simulate_partitioned sys tasks ~scheme:Cache.Partition.Columnization in
-  let bank_rs = simulate_partitioned sys tasks ~scheme:Cache.Partition.Bankization in
+  let col_rs = simulate Core.Mode.Columnized sys tasks in
+  let bank_rs = simulate Core.Mode.Bankized sys tasks in
   printf "%-8s %14s %14s %14s %14s\n" "core" "colmn WCET"
     "colmn observed" "bank WCET" "bank observed";
   rule 70;
@@ -362,7 +321,7 @@ let t6 () =
       let tasks = Array.init 4 (fun _ -> B.l1_thrash ~n:32) in
       let sys = system_of ~arbiter tasks in
       let joint = Core.Multicore.analyze_joint ~memo sys () in
-      let rs = simulate_shared sys tasks in
+      let rs = simulate Core.Mode.Joint sys tasks in
       let bound =
         Interconnect.Arbiter.worst_wait (arbiter 4) ~core:0 ~own_latency:lmax
           ~max_latency:lmax
@@ -398,7 +357,7 @@ let t7 () =
       let tasks = Array.init n (fun _ -> B.l1_thrash ~n:32) in
       let sys = system_of tasks in
       let joint = Core.Multicore.analyze_joint ~memo sys () in
-      let rs = simulate_shared sys tasks in
+      let rs = simulate Core.Mode.Joint sys tasks in
       let bound =
         Interconnect.Arbiter.worst_wait
           (Interconnect.Arbiter.Round_robin { cores = n })
@@ -443,7 +402,7 @@ let t8 () =
     (fun (label, arbiter) ->
       let sys = system_of ~arbiter:(fun _ -> arbiter) tasks in
       let joint = Core.Multicore.analyze_joint ~memo sys () in
-      let rs = simulate_shared sys tasks in
+      let rs = simulate Core.Mode.Joint sys tasks in
       check_sound ~bound:(wcet_or_zero joint.(0))
         ~observed:rs.(0).Sim.Machine.cycles;
       check_sound ~bound:(wcet_or_zero joint.(1))
@@ -614,17 +573,6 @@ let t12 () =
   let methodp =
     { (Core.Platform.single_core ()) with Core.Platform.method_cache = Some mc }
   in
-  let sim_of (platform : Core.Platform.t) i_path l2 =
-    {
-      Sim.Machine.latencies = platform.Core.Platform.latencies;
-      l1i = platform.Core.Platform.l1i;
-      l1d = platform.Core.Platform.l1d;
-      l2;
-      arbiter = Interconnect.Arbiter.Private;
-      refresh = platform.Core.Platform.refresh;
-      i_path;
-    }
-  in
   printf "%-12s | %10s %10s %6s | %10s %10s %6s\n" "benchmark"
     "conv obs" "conv WCET" "ratio" "mc obs" "mc WCET" "ratio";
   rule 78;
@@ -635,8 +583,7 @@ let t12 () =
       in
       let conv_r =
         (Sim.Machine.run
-           (sim_of conventional Sim.Machine.Conventional
-              (Sim.Machine.Private_l2 [| l2_default |]))
+           (Core.Platform.machine conventional)
            ~cores:[| Sim.Machine.task b.B.program |] ()).(0)
       in
       let mc_a =
@@ -644,7 +591,7 @@ let t12 () =
       in
       let mc_r =
         (Sim.Machine.run
-           (sim_of methodp (Sim.Machine.Method_cache mc) Sim.Machine.No_l2)
+           (Core.Platform.machine methodp)
            ~cores:[| Sim.Machine.task b.B.program |] ()).(0)
       in
       check_sound ~bound:conv_a.Core.Wcet.wcet
@@ -846,18 +793,9 @@ let f2 () =
                || i.Cache.Multilevel.l2_class = Cache.Analysis.Persistent)
              reaching)
       in
-      let cfg =
-        {
-          Sim.Machine.latencies = platform.Core.Platform.latencies;
-          l1i = platform.Core.Platform.l1i;
-          l1d = platform.Core.Platform.l1d;
-          l2 = Sim.Machine.Private_l2 [| slice |];
-          arbiter = Interconnect.Arbiter.Private;
-          refresh = platform.Core.Platform.refresh;
-          i_path = Sim.Machine.Conventional;
-        }
+      let r =
+        Sim.Machine.run_single (Core.Platform.machine platform) b.B.program ()
       in
-      let r = Sim.Machine.run_single cfg b.B.program () in
       check_sound ~bound:a.Core.Wcet.wcet ~observed:r.Sim.Machine.cycles;
       printf "%-10d %12d %12d %9.0f%%\n" ways a.Core.Wcet.wcet
         r.Sim.Machine.cycles
@@ -873,17 +811,6 @@ let f2 () =
 let f3 () =
   header "F3" "state-induced predictability quotients (Grund et al.)";
   let lat = Pipeline.Latencies.default in
-  let cached_cfg =
-    {
-      Sim.Machine.latencies = lat;
-      l1i = Cache.Config.make ~sets:4 ~assoc:2 ~line_size:16;
-      l1d = Cache.Config.make ~sets:4 ~assoc:2 ~line_size:16;
-      l2 = Sim.Machine.No_l2;
-      arbiter = Interconnect.Arbiter.Private;
-      refresh = Interconnect.Arbiter.Burst;
-      i_path = Sim.Machine.Conventional;
-    }
-  in
   let addresses = List.init 32 (fun i -> Isa.Layout.byte_addr Isa.Instr.Data i) in
   let warmups = Core.Predictability.random_warmups ~seed:11 ~count:12 ~addresses in
   let analytic_platform =
@@ -893,6 +820,7 @@ let f3 () =
       l1d = Cache.Config.make ~sets:4 ~assoc:2 ~line_size:16;
     }
   in
+  let cached_cfg = Core.Platform.machine analytic_platform in
   printf "%-14s %14s %14s %16s\n" "benchmark" "cached core"
     "PRET thread" "analytic B/W";
   rule 62;
@@ -981,17 +909,7 @@ let bechamel_suite () =
           ignore (Core.Ipet.solve g ~loop_bounds:bounds ~block_cost:(fun _ -> 1) ())
       );
       ( "cycle-level simulation (crc)",
-        let cfg =
-          {
-            Sim.Machine.latencies = platform.Core.Platform.latencies;
-            l1i = platform.Core.Platform.l1i;
-            l1d = platform.Core.Platform.l1d;
-            l2 = Sim.Machine.Private_l2 [| l2_default |];
-            arbiter = Interconnect.Arbiter.Private;
-            refresh = platform.Core.Platform.refresh;
-            i_path = Sim.Machine.Conventional;
-          }
-        in
+        let cfg = Core.Platform.machine platform in
         fun () -> ignore (Sim.Machine.run_single cfg crc.B.program ()) );
     ]
   in

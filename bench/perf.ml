@@ -55,6 +55,9 @@ let spec =
 
 let l2_default = Cache.Config.make ~sets:64 ~assoc:4 ~line_size:16
 
+(* The modes that run on a multicore system: every mode but solo. *)
+let system_modes = List.filter (fun m -> m <> Core.Mode.Solo) Core.Mode.all
+
 type counters = {
   pivots : int; (* simplex pivots, whichever stack ran *)
   ilp_nodes : int;
@@ -263,115 +266,32 @@ let sim_bench ~reps ~programs =
       Sim.Machine.init_data = g.G.data_init;
     }
   in
-  (* One (config, setups) unit per machine the mode runs. *)
-  let solo_units =
-    Array.to_list gens
-    |> List.map (fun (g : G.t) ->
-           let sys =
-             MC.default_system ~cores:1
-               ~tasks:[| Some (g.G.program, g.G.annot) |]
-           in
-           let cfg =
-             {
-               (MC.machine_config sys
-                  ~l2:(Sim.Machine.Private_l2 [| sys.MC.l2 |]))
-               with
-               Sim.Machine.arbiter = Interconnect.Arbiter.Private;
-             }
-           in
-           (cfg, [| setup g |]))
+  (* One (config, setups) unit per machine the mode runs; "solo" is
+     each program's oblivious run on a one-core system. *)
+  let units mode sys setups =
+    List.map
+      (fun (r : Core.Mode.run) -> (r.Core.Mode.config, r.Core.Mode.setups))
+      (Core.Mode.runs sys mode setups)
   in
-  let pair_units of_pair =
+  let system gens =
+    MC.default_system ~cores:(Array.length gens)
+      ~tasks:(Array.map (fun (g : G.t) -> Some (g.G.program, g.G.annot)) gens)
+  in
+  let solo_units =
+    List.concat_map
+      (fun g -> units Core.Mode.Oblivious (system [| g |]) [| setup g |])
+      (Array.to_list gens)
+  in
+  let pair_units mode =
     List.concat
       (List.init (programs / 2) (fun k ->
-           let ga = gens.(2 * k) and gb = gens.((2 * k) + 1) in
-           let sys =
-             MC.default_system ~cores:2
-               ~tasks:
-                 [|
-                   Some (ga.G.program, ga.G.annot);
-                   Some (gb.G.program, gb.G.annot);
-                 |]
-           in
-           of_pair sys ga gb))
+           let pair = Array.sub gens (2 * k) 2 in
+           units mode (system pair) (Array.map setup pair)))
   in
   let modes =
-    [
-      ("solo", solo_units);
-      ( "oblivious",
-        pair_units (fun sys ga gb ->
-            let cfg =
-              {
-                (MC.machine_config sys
-                   ~l2:(Sim.Machine.Private_l2 [| sys.MC.l2 |]))
-                with
-                Sim.Machine.arbiter = Interconnect.Arbiter.Private;
-              }
-            in
-            [ (cfg, [| setup ga |]); (cfg, [| setup gb |]) ]) );
-      ( "joint",
-        pair_units (fun sys ga gb ->
-            [
-              ( MC.machine_config sys ~l2:(Sim.Machine.Shared_l2 sys.MC.l2),
-                [| setup ga; setup gb |] );
-            ]) );
-      ( "bypass",
-        pair_units (fun sys ga gb ->
-            let with_bypass (g : G.t) =
-              let lines = MC.bypass_lines sys (g.G.program, g.G.annot) in
-              let set = Hashtbl.create (2 * List.length lines + 1) in
-              List.iter (fun l -> Hashtbl.replace set l ()) lines;
-              {
-                (setup g) with
-                Sim.Machine.l2_bypass = (fun l -> Hashtbl.mem set l);
-              }
-            in
-            [
-              ( MC.machine_config sys ~l2:(Sim.Machine.Shared_l2 sys.MC.l2),
-                [| with_bypass ga; with_bypass gb |] );
-            ]) );
-      ( "columnized",
-        pair_units (fun sys ga gb ->
-            let alloc =
-              Cache.Partition.even_shares Cache.Partition.Columnization
-                sys.MC.l2 ~parts:2
-            in
-            let slices =
-              Array.init 2 (fun i ->
-                  Cache.Partition.partition_config sys.MC.l2 alloc ~index:i)
-            in
-            [
-              ( MC.machine_config sys ~l2:(Sim.Machine.Private_l2 slices),
-                [| setup ga; setup gb |] );
-            ]) );
-      ( "bankized",
-        pair_units (fun sys ga gb ->
-            let alloc =
-              Cache.Partition.even_shares Cache.Partition.Bankization sys.MC.l2
-                ~parts:2
-            in
-            let slices =
-              Array.init 2 (fun i ->
-                  Cache.Partition.partition_config sys.MC.l2 alloc ~index:i)
-            in
-            [
-              ( MC.machine_config sys ~l2:(Sim.Machine.Private_l2 slices),
-                [| setup ga; setup gb |] );
-            ]) );
-      ( "locked",
-        pair_units (fun sys ga gb ->
-            let selection = MC.static_lock_selection sys in
-            let with_locks g =
-              {
-                (setup g) with
-                Sim.Machine.locked_l2_lines = selection.Cache.Locking.locked;
-              }
-            in
-            [
-              ( MC.machine_config sys ~l2:(Sim.Machine.Shared_l2 sys.MC.l2),
-                [| with_locks ga; with_locks gb |] );
-            ]) );
-    ]
+    ("solo", solo_units)
+    :: List.map (fun m -> (Core.Mode.name m, pair_units m)) system_modes
+    |> List.filter (fun (_, units) -> units <> [])
   in
   (* Verification pass: both interpreters, per-block attribution on,
      every result field bit-identical (the corpus halts, so the
@@ -488,7 +408,7 @@ let stall_replay_guard () =
 let ctx_sweep_cores = 2
 
 let ctx_sweep_bench ~reps suite =
-  let solo_platform = Core.Platform.single_core ~l2:l2_default () in
+  let solo_platform = Core.Mode.solo_platform () in
   let fingerprint (w : Core.Wcet.t) =
     ( w.Core.Wcet.wcet,
       List.map
@@ -530,20 +450,10 @@ let ctx_sweep_bench ~reps suite =
     in
     ( bcet.Core.Bcet.bcet,
       List.map fingerprint
-        [
-          solo;
-          w0 (MC.analyze_oblivious ?ctxs sys);
-          w0 (MC.analyze_joint ?ctxs sys ());
-          w0 (MC.analyze_joint ?ctxs sys ~bypass:true ());
-          w0
-            (MC.analyze_partitioned ?ctxs sys
-               ~scheme:Cache.Partition.Columnization);
-          w0
-            (MC.analyze_partitioned ?ctxs sys
-               ~scheme:Cache.Partition.Bankization);
-          w0 (MC.analyze_locked ?ctxs sys);
-          w0 (MC.analyze_locked_dynamic ?ctxs sys);
-        ] )
+        (solo
+        :: List.map
+             (fun mode -> w0 (Core.Mode.analyze ?ctxs sys mode))
+             system_modes) )
   in
   let time engine b =
     let p0 = Lp.Simplex.pivots () in
@@ -598,7 +508,7 @@ type refine_iter_row = {
 
 let refine_bench () =
   let cfg = Refine.default in
-  let solo_platform = Core.Platform.single_core ~l2:l2_default () in
+  let solo_platform = Core.Mode.solo_platform () in
   let cuts_of (w : Core.Wcet.t) =
     List.fold_left
       (fun acc (_, (pr : Core.Wcet.proc_result)) ->
@@ -633,21 +543,13 @@ let refine_bench () =
       | Some w -> cell name w
       | None -> failwith "no core-0 result"
     in
-    [
-      cell "solo"
-        (Core.Wcet.analyze_with ~refine:cfg ~ctx:solo_ctx solo_platform);
-      w0 "oblivious" (MC.analyze_oblivious ?ctxs ~refine:cfg sys);
-      w0 "joint" (MC.analyze_joint ?ctxs ~refine:cfg sys ());
-      w0 "bypass" (MC.analyze_joint ?ctxs ~refine:cfg sys ~bypass:true ());
-      w0 "columnized"
-        (MC.analyze_partitioned ?ctxs ~refine:cfg sys
-           ~scheme:Cache.Partition.Columnization);
-      w0 "bankized"
-        (MC.analyze_partitioned ?ctxs ~refine:cfg sys
-           ~scheme:Cache.Partition.Bankization);
-      w0 "locked" (MC.analyze_locked ?ctxs ~refine:cfg sys);
-      w0 "dynamic" (MC.analyze_locked_dynamic ?ctxs ~refine:cfg sys);
-    ]
+    cell "solo"
+      (Core.Wcet.analyze_with ~refine:cfg ~ctx:solo_ctx solo_platform)
+    :: List.map
+         (fun mode ->
+           w0 (Core.Mode.name mode)
+             (Core.Mode.analyze ?ctxs ~refine:cfg sys mode))
+         system_modes
   in
   let rows =
     List.map (fun (b : B.t) -> (b.B.name, sweep b)) (B.suite ())

@@ -163,7 +163,7 @@ let keyset () =
     if !quick then [ "matmul"; "bubble_sort"; "crc" ]
     else [ "matmul"; "bubble_sort"; "crc"; "fir"; "bitcount"; "memcpy" ]
   in
-  let modes = List.map Fuzz.Oracle.mode_name Fuzz.Oracle.all_modes in
+  let modes = List.map Core.Mode.name Core.Mode.all in
   List.concat_map (fun b -> List.map (fun m -> (b, m)) modes) benches
 
 let rec rm_rf path =
@@ -219,7 +219,7 @@ let measure_overhead () =
         (b.Workloads.Bench_programs.program, b.Workloads.Bench_programs.annot)
       in
       let mode =
-        match Fuzz.Oracle.mode_of_string mode_s with
+        match Core.Mode.of_string mode_s with
         | Ok m -> m
         | Error msg -> failwith msg
       in

@@ -100,7 +100,7 @@ let render_all_modes results =
        "compute" "l1_miss" "l2_miss" "bus" "stall");
   List.iter
     (fun (mode, r) ->
-      let name = Fuzz.Oracle.mode_name mode in
+      let name = Core.Mode.name mode in
       match r with
       | Ok (e : Store.Entry.t) ->
           let v = e.Store.Entry.attrib.Attrib.total in
@@ -209,7 +209,7 @@ let analyze_cmd =
                 ?refine:(refine_of_flag refine)
                 ~cores (load source)))
     | Some mode_s -> (
-        match Server_lib.Modes.mode_of_string mode_s with
+        match Core.Mode.of_string mode_s with
         | Error msg -> die "%s; or \"all\" for the whole sweep" msg
         | Ok mode ->
             if cores < 1 || cores > 4 then
@@ -290,25 +290,22 @@ let analyze_cmd =
 let simulate_cmd =
   let run source with_l2 method_cache =
     let program, _ = load source in
-    let l2 = l2_of_flag with_l2 in
-    let cfg =
+    let platform =
       {
-        Sim.Machine.latencies = Pipeline.Latencies.default;
-        l1i = Cache.Config.make ~sets:64 ~assoc:2 ~line_size:16;
-        l1d = Cache.Config.make ~sets:64 ~assoc:2 ~line_size:16;
-        l2 =
-          (match l2 with
-          | Some c -> Sim.Machine.Private_l2 [| c |]
-          | None -> Sim.Machine.No_l2);
-        arbiter = Interconnect.Arbiter.Private;
-        refresh = Interconnect.Arbiter.Burst;
-        i_path =
-          (if method_cache then
-             Sim.Machine.Method_cache Cache.Method_cache.default
-           else Sim.Machine.Conventional);
+        (Core.Platform.single_core ?l2:(l2_of_flag with_l2) ()) with
+        Core.Platform.method_cache =
+          (if method_cache then Some Cache.Method_cache.default else None);
       }
     in
-    let r = Sim.Machine.run_single cfg program () in
+    let r =
+      match
+        Sim.Machine.run_single (Core.Platform.machine platform) program ()
+      with
+      | r -> r
+      | exception Isa.Exec.Fault msg ->
+          Printf.eprintf "simulation fault: %s\n" msg;
+          exit 1
+    in
     Printf.printf "cycles:       %d\n" r.Sim.Machine.cycles;
     Printf.printf "instructions: %d\n" r.Sim.Machine.instructions;
     Printf.printf "halted:       %b\n" r.Sim.Machine.halted;
@@ -343,28 +340,19 @@ let multicore_cmd =
       Core.Multicore.default_system ~cores
         ~tasks:(Array.of_list (List.map (fun t -> Some t) tasks))
     in
-    let show label results =
-      Printf.printf "%-14s" label;
+    let show mode =
+      Printf.printf "%-14s" (Core.Mode.name mode);
       Array.iter
         (function
           | Some w -> Printf.printf " %10d" w
           | None -> Printf.printf " %10s" "-")
-        (Core.Multicore.wcets results);
+        (Core.Multicore.wcets (Core.Mode.analyze sys mode));
       print_newline ()
     in
     Printf.printf "%-14s" "approach";
     List.iteri (fun i _ -> Printf.printf " %10s" (Printf.sprintf "core%d" i)) sources;
     print_newline ();
-    show "oblivious" (Core.Multicore.analyze_oblivious sys);
-    show "joint" (Core.Multicore.analyze_joint sys ());
-    show "joint+bypass" (Core.Multicore.analyze_joint sys ~bypass:true ());
-    show "columnized"
-      (Core.Multicore.analyze_partitioned sys
-         ~scheme:Cache.Partition.Columnization);
-    show "bankized"
-      (Core.Multicore.analyze_partitioned sys ~scheme:Cache.Partition.Bankization);
-    show "locked" (Core.Multicore.analyze_locked sys);
-    show "locked-dyn" (Core.Multicore.analyze_locked_dynamic sys)
+    List.iter (fun m -> if m <> Core.Mode.Solo then show m) Core.Mode.all
   in
   let sources =
     Arg.(
@@ -720,11 +708,11 @@ let fuzz_cmd =
         List.concat_map (String.split_on_char ',') mode_args
         |> List.filter (fun s -> s <> "")
       with
-      | [] -> Fuzz.Oracle.all_modes
+      | [] -> Core.Mode.all
       | names ->
           List.map
             (fun n ->
-              match Fuzz.Oracle.mode_of_string n with
+              match Core.Mode.of_string n with
               | Ok m -> m
               | Error msg -> die "%s" msg)
             names
@@ -779,7 +767,7 @@ let fuzz_cmd =
                 s.Fuzz.Oracle.s_max_ratio
           in
           Printf.printf "%-12s %7d %6d %28s"
-            (Fuzz.Oracle.mode_name s.Fuzz.Oracle.s_mode)
+            (Core.Mode.name s.Fuzz.Oracle.s_mode)
             s.Fuzz.Oracle.s_checks s.Fuzz.Oracle.s_violations ratios;
           if refine <> None then
             Printf.printf " %11s"
@@ -807,11 +795,11 @@ let fuzz_cmd =
            offending program:\n\
            %s\n\
            reproduce with: paratime fuzz --seed %d --count %d --modes %s%s\n"
-          (Fuzz.Oracle.mode_name v.Fuzz.Oracle.v_mode)
+          (Core.Mode.name v.Fuzz.Oracle.v_mode)
           v.Fuzz.Oracle.v_shape v.Fuzz.Oracle.v_task v.Fuzz.Oracle.v_core
           v.Fuzz.Oracle.reason v.Fuzz.Oracle.source seed count
           (String.concat ","
-             (List.map Fuzz.Oracle.mode_name c.Fuzz.Oracle.modes))
+             (List.map Core.Mode.name c.Fuzz.Oracle.modes))
           ((match interp with
            | `Block -> ""
            | `Reference -> " --interp reference"
@@ -925,114 +913,44 @@ let fuzz_cmd =
 
 (* ---------------- attribute ---------------- *)
 
-(* Mode wiring mirrors Fuzz.Oracle.run_mode: the analysis and the
-   simulated machine must describe the same hardware for the gap to mean
-   anything.  The attributed task runs on core 0; under the contended
-   modes every other core runs the same program as a co-runner.
-
-   The analysis side is the request's {!Server_lib.Modes} entry;
-   [observed_attribution] is the one place the matching machine lives.
-   It returns [None] for dynamic locking, which the machine cannot
-   execute.  The bypass set and lock selection that configure the
-   machine are computed from the same context pack as the analysis, so
-   one command builds one front end.  Raises
+(* The analysis side of an attribution is the request's
+   {!Server_lib.Modes} entry; the observed side is core 0 of the mode's
+   machine run ({!Core.Mode.runs}), built from the same system and
+   context pack, so the gap compares one hardware description and one
+   command builds one front end.  The attributed task runs on core 0;
+   under the contended modes every other core runs the same program as
+   a co-runner.  [Ok None] for dynamic locking, which the machine cannot
+   execute; [Error] for a simulator fault.  Raises
    {!Core.Wcet.Not_analysable}. *)
-let observed_attribution ~pack ~cores ~program ~annot mode =
-  let l2_cfg = Cache.Config.make ~sets:64 ~assoc:4 ~line_size:16 in
-  let setups n =
-    Array.init n (fun i ->
-        {
-          (Sim.Machine.task program) with
-          Sim.Machine.attrib_blocks = i = 0;
-        })
+let observed_attribution ~pack ~program mode =
+  let sys = Server_lib.Modes.system pack in
+  let setups =
+    Array.mapi
+      (fun i _ ->
+        { (Sim.Machine.task program) with Sim.Machine.attrib_blocks = i = 0 })
+      sys.Core.Multicore.tasks
   in
-  let sys =
-    Core.Multicore.default_system ~cores
-      ~tasks:(Array.make cores (Some (program, annot)))
-  in
-  let shared_machine =
-    Core.Multicore.machine_config sys
-      ~l2:(Sim.Machine.Shared_l2 sys.Core.Multicore.l2)
-  in
-  let observe cfg cores =
-    Some (Attrib.observed (Sim.Machine.run cfg ~cores ()).(0))
+  let observe config cores =
+    match Sim.Machine.run config ~cores () with
+    | rs -> Ok (Some (Attrib.observed rs.(0)))
+    | exception Isa.Exec.Fault msg -> Error ("simulation fault: " ^ msg)
   in
   match mode with
-  | Fuzz.Oracle.Solo ->
-      let platform = Core.Platform.single_core ~l2:l2_cfg () in
+  | Core.Mode.Solo ->
       observe
-        {
-          Sim.Machine.latencies = platform.Core.Platform.latencies;
-          l1i = platform.Core.Platform.l1i;
-          l1d = platform.Core.Platform.l1d;
-          l2 = Sim.Machine.Private_l2 [| l2_cfg |];
-          arbiter = Interconnect.Arbiter.Private;
-          refresh = platform.Core.Platform.refresh;
-          i_path = Sim.Machine.Conventional;
-        }
-        (setups 1)
-  | Fuzz.Oracle.Oblivious ->
-      (* the oblivious bound is only claimed solo *)
-      observe
-        {
-          (Core.Multicore.machine_config sys
-             ~l2:(Sim.Machine.Private_l2 [| sys.Core.Multicore.l2 |]))
-          with
-          Sim.Machine.arbiter = Interconnect.Arbiter.Private;
-        }
-        (setups 1)
-  | Fuzz.Oracle.Joint -> observe shared_machine (setups cores)
-  | Fuzz.Oracle.Bypass ->
-      let lines =
-        Core.Multicore.bypass_lines
-          ?ctx:(Server_lib.Modes.contexts pack).(0)
-          sys (program, annot)
-      in
-      let set = Hashtbl.create (2 * List.length lines + 1) in
-      List.iter (fun l -> Hashtbl.replace set l ()) lines;
-      observe shared_machine
-        (Array.map
-           (fun s ->
-             { s with Sim.Machine.l2_bypass = (fun l -> Hashtbl.mem set l) })
-           (setups cores))
-  | Fuzz.Oracle.Columnized | Fuzz.Oracle.Bankized ->
-      let scheme =
-        if mode = Fuzz.Oracle.Columnized then Cache.Partition.Columnization
-        else Cache.Partition.Bankization
-      in
-      let alloc =
-        Cache.Partition.even_shares scheme sys.Core.Multicore.l2 ~parts:cores
-      in
-      let slices =
-        Array.init cores (fun i ->
-            Cache.Partition.partition_config sys.Core.Multicore.l2 alloc
-              ~index:i)
-      in
-      let cfg =
-        Core.Multicore.machine_config sys ~l2:(Sim.Machine.Private_l2 slices)
-      in
-      observe cfg (setups cores)
-  | Fuzz.Oracle.Locked ->
-      let selection =
-        Core.Multicore.static_lock_selection
-          ~ctxs:(Server_lib.Modes.contexts pack)
-          sys
-      in
-      observe shared_machine
-        (Array.map
-           (fun s ->
-             {
-               s with
-               Sim.Machine.locked_l2_lines = selection.Cache.Locking.locked;
-             })
-           (setups cores))
-  | Fuzz.Oracle.Dynamic ->
-      (* analysis-level only: the machine cannot reprogram locks *)
-      None
+        (Core.Platform.machine (Core.Mode.solo_platform ()))
+        [| setups.(0) |]
+  | m -> (
+      match
+        Core.Mode.runs ~ctxs:(Server_lib.Modes.contexts pack) sys m setups
+      with
+      (* slot 0's run comes first, with slot 0 on its core 0 *)
+      | { Core.Mode.config; setups; _ } :: _ -> observe config setups
+      | [] -> Ok None)
 
 let attribute_cmd =
   let run_all source cores gap trace_out csv_out =
-    let ((program, annot) as task) = load source in
+    let ((program, _) as task) = load source in
     let pack = Server_lib.Modes.pack ~cores task in
     let results =
       List.map
@@ -1040,7 +958,7 @@ let attribute_cmd =
           ( mode,
             Server_lib.Modes.analyze_mode ~mode ~kind:Server_lib.Modes.Wcet
               pack ))
-        Fuzz.Oracle.all_modes
+        Core.Mode.all
     in
     print_string (render_all_modes results);
     if gap then begin
@@ -1051,19 +969,20 @@ let attribute_cmd =
         "gap" "dominant gap";
       List.iter
         (fun (m, r) ->
-          let name = Fuzz.Oracle.mode_name m in
+          let name = Core.Mode.name m in
           match r with
           | Error msg -> Printf.printf "%-12s %s\n" name msg
           | Ok (e : Store.Entry.t) -> (
               let analysis = e.Store.Entry.attrib in
-              match observed_attribution ~pack ~cores ~program ~annot m with
-              | Some o ->
+              match observed_attribution ~pack ~program m with
+              | Error msg -> Printf.printf "%-12s %s\n" name msg
+              | Ok (Some o) ->
                   let g = Attrib.gap ~analysis ~observed:o in
                   Printf.printf "%-12s %10d %10d %10d %14s\n" name
                     analysis.Attrib.bound o.Attrib.bound
                     (analysis.Attrib.bound - o.Attrib.bound)
                     (Pipeline.Cost.category_name g.Attrib.dominant)
-              | None ->
+              | Ok None ->
                   Printf.printf "%-12s %10d %10s %10s %14s\n" name
                     analysis.Attrib.bound "-" "-" "analytic only"))
         results
@@ -1073,7 +992,7 @@ let attribute_cmd =
         (fun (m, r) ->
           match r with
           | Ok (e : Store.Entry.t) ->
-              f (Fuzz.Oracle.mode_name m) e.Store.Entry.attrib
+              f (Core.Mode.name m) e.Store.Entry.attrib
           | Error _ -> ())
         results
     in
@@ -1100,20 +1019,23 @@ let attribute_cmd =
     if mode_arg = "all" then run_all source cores gap trace_out csv_out
     else
     let mode =
-      match Fuzz.Oracle.mode_of_string mode_arg with
+      match Core.Mode.of_string mode_arg with
       | Ok m -> m
       | Error msg -> die "%s; or \"all\" for the whole sweep" msg
     in
-    let ((program, annot) as task) = load source in
+    let ((program, _) as task) = load source in
     let pack = Server_lib.Modes.pack ~cores task in
     let analysis, observed =
       match
         Server_lib.Modes.analyze_mode ~mode ~kind:Server_lib.Modes.Wcet pack
       with
-      | Ok e ->
-          ( e.Store.Entry.attrib,
-            observed_attribution ~pack ~cores ~program ~annot mode )
       | Error msg -> die "%s" msg
+      | Ok e -> (
+          match observed_attribution ~pack ~program mode with
+          | Ok o -> (e.Store.Entry.attrib, o)
+          | Error msg ->
+              Printf.eprintf "%s\n" msg;
+              exit 1)
     in
     print_string (Attrib.render analysis);
     (match observed with
@@ -1266,22 +1188,7 @@ let report_cmd =
 let trace_cmd =
   let run source with_l2 jobs_flag refine out csv_out =
     let program, annot = load source in
-    let l2 = l2_of_flag with_l2 in
-    let platform = Core.Platform.single_core ?l2 () in
-    let sim_cfg =
-      {
-        Sim.Machine.latencies = Pipeline.Latencies.default;
-        l1i = Cache.Config.make ~sets:64 ~assoc:2 ~line_size:16;
-        l1d = Cache.Config.make ~sets:64 ~assoc:2 ~line_size:16;
-        l2 =
-          (match l2 with
-          | Some c -> Sim.Machine.Private_l2 [| c |]
-          | None -> Sim.Machine.No_l2);
-        arbiter = Interconnect.Arbiter.Private;
-        refresh = Interconnect.Arbiter.Burst;
-        i_path = Sim.Machine.Conventional;
-      }
-    in
+    let platform = Core.Platform.single_core ?l2:(l2_of_flag with_l2) () in
     let sink = Obs.Sink.create () in
     Obs.set_sink (Some sink);
     (* Results cross domains through refs: the pool joins its workers
@@ -1301,7 +1208,10 @@ let trace_cmd =
                    ~ctx platform);
             bcet := Some (Core.Bcet.analyze_with ~ctx platform));
         Engine.Pool.job ~label:"sim" (fun _ ->
-            sim := Some (Sim.Machine.run_single sim_cfg program ()));
+            sim :=
+              Some
+                (Sim.Machine.run_single (Core.Platform.machine platform)
+                   program ()));
       ]
     in
     let workers =
@@ -1561,11 +1471,11 @@ let loadtest_cmd =
   let run host port requests connections repeat working_set modes_s cores
       kind_s seed shutdown json_out scrape =
     let modes =
-      if modes_s = "all" then Fuzz.Oracle.all_modes
+      if modes_s = "all" then Core.Mode.all
       else
         List.map
           (fun s ->
-            match Fuzz.Oracle.mode_of_string (String.trim s) with
+            match Core.Mode.of_string (String.trim s) with
             | Ok m -> m
             | Error msg -> die "%s" msg)
           (String.split_on_char ',' modes_s)

@@ -137,3 +137,22 @@ let fingerprint t =
       in
       let s = Buffer.contents b in
       Some (if has_closures then `Needs_salt s else `Pure s)
+
+let machine t =
+  {
+    Sim.Machine.latencies = t.latencies;
+    l1i = t.l1i;
+    l1d = t.l1d;
+    l2 =
+      (match t.l2 with
+      | No_l2 -> Sim.Machine.No_l2
+      | Private_l2 c -> Sim.Machine.Private_l2 [| c |]
+      | Shared_l2 { config; _ } | Locked_l2 { config; _ } ->
+          Sim.Machine.Shared_l2 config);
+    arbiter = Interconnect.Arbiter.Private;
+    refresh = t.refresh;
+    i_path =
+      (match t.method_cache with
+      | None -> Sim.Machine.Conventional
+      | Some mc -> Sim.Machine.Method_cache mc);
+  }

@@ -73,6 +73,14 @@ val mem_wait : t -> int
 
 val l2_config : t -> Cache.Config.t option
 
+val machine : t -> Sim.Machine.config
+(** The single-core machine the platform describes, for validation
+    runs: the same latencies, L1 geometry, L2 (a private slice, or the
+    shared or locked L2's geometry), refresh policy and instruction path
+    (conventional, or the method cache), on a private bus.  The
+    arbiter, core id and memory arbiter only shape the analysis's
+    interference bounds. *)
+
 val fingerprint : t -> [ `Pure of string | `Needs_salt of string ] option
 (** Canonical rendering of everything {!Wcet.analyze}/{!Bcet.analyze}
     consume from a platform, for memoization keys ({!Memo}).  The arbiter

@@ -1,7 +1,9 @@
 module P = Core.Platform
 module M = Core.Multicore
 
-type mode =
+(* Re-exported for bench/ledger until its benchmark follow-up names
+   modes through Core.Mode. *)
+type mode = Core.Mode.t =
   | Solo
   | Oblivious
   | Joint
@@ -11,28 +13,8 @@ type mode =
   | Locked
   | Dynamic
 
-let all_modes =
-  [ Solo; Oblivious; Joint; Bypass; Columnized; Bankized; Locked; Dynamic ]
-
-let mode_name = function
-  | Solo -> "solo"
-  | Oblivious -> "oblivious"
-  | Joint -> "joint"
-  | Bypass -> "bypass"
-  | Columnized -> "columnized"
-  | Bankized -> "bankized"
-  | Locked -> "locked"
-  | Dynamic -> "dynamic"
-
-let mode_of_string s =
-  match
-    List.find_opt (fun m -> mode_name m = String.lowercase_ascii s) all_modes
-  with
-  | Some m -> Ok m
-  | None ->
-      Error
-        (Printf.sprintf "unknown mode %S (expected one of: %s)" s
-           (String.concat ", " (List.map mode_name all_modes)))
+let all_modes = Core.Mode.all
+let mode_name = Core.Mode.name
 
 type interp = [ `Block | `Reference | `Both ]
 type engine = [ `Context | `Fresh ]
@@ -115,28 +97,6 @@ let bcet_bound ?memo ?ctx ~annot platform program =
       | None -> Core.Bcet.analyze ~annot platform program)
         .Core.Bcet.bcet
   | Some m -> (Core.Memo.bcet m ~annot ?compute platform program).Core.Bcet.bcet
-
-(* The concrete single-core machine a platform describes (the analysis
-   and the simulator must agree on geometry, refresh, and the
-   instruction path). *)
-let sim_config_of (p : P.t) =
-  {
-    Sim.Machine.latencies = p.P.latencies;
-    l1i = p.P.l1i;
-    l1d = p.P.l1d;
-    l2 =
-      (match p.P.l2 with
-      | P.No_l2 -> Sim.Machine.No_l2
-      | P.Private_l2 c -> Sim.Machine.Private_l2 [| c |]
-      | P.Shared_l2 { config; _ } | P.Locked_l2 { config; _ } ->
-          Sim.Machine.Shared_l2 config);
-    arbiter = Interconnect.Arbiter.Private;
-    refresh = p.P.refresh;
-    i_path =
-      (match p.P.method_cache with
-      | None -> Sim.Machine.Conventional
-      | Some mc -> Sim.Machine.Method_cache mc);
-  }
 
 let solo_shapes () =
   let l2_small = Cache.Config.make ~sets:16 ~assoc:2 ~line_size:16 in
@@ -341,7 +301,7 @@ let check_solo ?memo ?(checkpoint = fun () -> ())
       let rs, dv =
         sim_run ~interp ~mode:Solo ~shape
           ~g_of:(fun _ -> g)
-          (sim_config_of platform)
+          (P.machine platform)
           ~cores:[| setup_of g |] ()
       in
       divergences := !divergences @ dv;
@@ -386,6 +346,17 @@ let private_platform (sys : M.system) =
     method_cache = None;
   }
 
+(* The CSV shape label of a contended mode's checks. *)
+let group_shape = function
+  | Solo -> "solo"
+  | Oblivious -> "private-l2"
+  | Joint -> "shared-l2"
+  | Bypass -> "shared-l2+bypass"
+  | Columnized -> "l2-columns"
+  | Bankized -> "l2-banks"
+  | Locked -> "locked-l2"
+  | Dynamic -> "locked-l2-dynamic"
+
 let check_group ?memo ?(checkpoint = fun () -> ())
     ?(interp : interp = `Block) ?(engine : engine = `Context) ?refine ?facts
     ~modes gens =
@@ -417,125 +388,33 @@ let check_group ?memo ?(checkpoint = fun () -> ())
       gens
   in
   let plain_setups = Array.map setup_of gens in
-  (* All group runs share the interpreter cross-check plumbing. *)
-  let sim ~mode ~shape ~g_of cfg ~cores =
-    let rs, dv = sim_run ~interp ~mode ~shape ~g_of cfg ~cores () in
-    divergences := !divergences @ dv;
-    rs
-  in
-  (* One sandwich per core, against either a per-core result array, a
-     per-core solo run, or nothing (analytic modes). *)
-  let per_core ~mode ~shape results result_for =
-    List.filter_map
-      (fun core ->
-        match results.(core) with
-        | None -> None
-        | Some (w : Core.Wcet.t) ->
-            Some
-              (sandwich ?unrefined:w.Core.Wcet.unrefined_wcet ~mode ~shape
-                 ~g:gens.(core) ~core ~bcet:bcets.(core)
-                 ~wcet:w.Core.Wcet.wcet ~a_vec:(root_vec w) (result_for core)))
-      (List.init n (fun i -> i))
-  in
   let run_mode mode =
     checkpoint ();
-    match mode with
-    | Solo -> []
-    | Oblivious ->
-        (* only claimed solo: validate each task owning the machine *)
-        let ws = M.analyze_oblivious ?memo ?ctxs ?refine sys in
-        let cfg =
-          {
-            (M.machine_config sys ~l2:(Sim.Machine.Private_l2 [| sys.M.l2 |]))
-            with
-            Sim.Machine.arbiter = Interconnect.Arbiter.Private;
-          }
+    let shape = group_shape mode in
+    let ws = Core.Mode.analyze ?memo ?ctxs ?refine sys mode in
+    (* Each core's observed run: oblivious runs each task alone, the
+       other simulable modes run the whole group, and dynamic locking is
+       checked analytically only. *)
+    let observed = Array.make n None in
+    List.iter
+      (fun { Core.Mode.config; slots; setups } ->
+        let rs, dv =
+          sim_run ~interp ~mode ~shape
+            ~g_of:(fun k -> gens.(slots.(k)))
+            config ~cores:setups ()
         in
-        per_core ~mode ~shape:"private-l2" ws (fun core ->
-            Some
-              (sim ~mode ~shape:"private-l2"
-                 ~g_of:(fun _ -> gens.(core))
-                 cfg
-                 ~cores:[| plain_setups.(core) |]).(0))
-    | Joint ->
-        let ws = M.analyze_joint ?memo ?ctxs ?refine sys () in
-        let rs =
-          sim ~mode ~shape:"shared-l2"
-            ~g_of:(fun i -> gens.(i))
-            (M.machine_config sys ~l2:(Sim.Machine.Shared_l2 sys.M.l2))
-            ~cores:plain_setups
-        in
-        per_core ~mode ~shape:"shared-l2" ws (fun core -> Some rs.(core))
-    | Bypass ->
-        let ws = M.analyze_joint ?memo ?ctxs ?refine sys ~bypass:true () in
-        let setups =
-          Array.mapi
-            (fun core (g : Generator.t) ->
-              let lines =
-                M.bypass_lines ?ctx:(ctx_for core) sys
-                  (g.Generator.program, g.Generator.annot)
-              in
-              let set = Hashtbl.create (2 * List.length lines) in
-              List.iter (fun l -> Hashtbl.replace set l ()) lines;
-              {
-                (setup_of g) with
-                Sim.Machine.l2_bypass = (fun l -> Hashtbl.mem set l);
-              })
-            gens
-        in
-        let rs =
-          sim ~mode ~shape:"shared-l2+bypass"
-            ~g_of:(fun i -> gens.(i))
-            (M.machine_config sys ~l2:(Sim.Machine.Shared_l2 sys.M.l2))
-            ~cores:setups
-        in
-        per_core ~mode ~shape:"shared-l2+bypass" ws (fun core -> Some rs.(core))
-    | Columnized | Bankized ->
-        let scheme =
-          if mode = Columnized then Cache.Partition.Columnization
-          else Cache.Partition.Bankization
-        in
-        let ws = M.analyze_partitioned ?memo ?ctxs ?refine sys ~scheme in
-        let alloc = Cache.Partition.even_shares scheme sys.M.l2 ~parts:n in
-        let slices =
-          Array.init n (fun i ->
-              Cache.Partition.partition_config sys.M.l2 alloc ~index:i)
-        in
-        let shape = if mode = Columnized then "l2-columns" else "l2-banks" in
-        let rs =
-          sim ~mode ~shape
-            ~g_of:(fun i -> gens.(i))
-            (M.machine_config sys ~l2:(Sim.Machine.Private_l2 slices))
-            ~cores:plain_setups
-        in
-        per_core ~mode
-          ~shape
-          ws
-          (fun core -> Some rs.(core))
-    | Locked ->
-        let selection = M.static_lock_selection ?memo ?ctxs sys in
-        let ws = M.analyze_locked ?memo ?ctxs ?refine sys in
-        let setups =
-          Array.map
-            (fun s ->
-              {
-                s with
-                Sim.Machine.locked_l2_lines =
-                  selection.Cache.Locking.locked;
-              })
-            plain_setups
-        in
-        let rs =
-          sim ~mode ~shape:"locked-l2"
-            ~g_of:(fun i -> gens.(i))
-            (M.machine_config sys ~l2:(Sim.Machine.Shared_l2 sys.M.l2))
-            ~cores:setups
-        in
-        per_core ~mode ~shape:"locked-l2" ws (fun core -> Some rs.(core))
-    | Dynamic ->
-        (* analysis-level only: the machine cannot reprogram lock bits *)
-        let ws = M.analyze_locked_dynamic ?memo ?ctxs ?refine sys in
-        per_core ~mode ~shape:"locked-l2-dynamic" ws (fun _ -> None)
+        divergences := !divergences @ dv;
+        Array.iteri (fun k slot -> observed.(slot) <- Some rs.(k)) slots)
+      (Core.Mode.runs ?memo ?ctxs sys mode plain_setups);
+    List.filter_map
+      (fun core ->
+        Option.map
+          (fun (w : Core.Wcet.t) ->
+            sandwich ?unrefined:w.Core.Wcet.unrefined_wcet ~mode ~shape
+              ~g:gens.(core) ~core ~bcet:bcets.(core) ~wcet:w.Core.Wcet.wcet
+              ~a_vec:(root_vec w) observed.(core))
+          ws.(core))
+      (List.init n Fun.id)
   in
   let per_mode mode =
     match run_mode mode with
@@ -651,7 +530,7 @@ let stats_of report modes =
           })
     modes
 
-let run_campaign ?(params = Generator.default_params) ?(modes = all_modes)
+let run_campaign ?(params = Generator.default_params) ?(modes = Core.Mode.all)
     ?(cores = 4) ?workers ?memo ?timeout_ns ?(interp : interp = `Block)
     ?(engine : engine = `Context) ?refine ~seed ~count () =
   if count <= 0 then invalid_arg "Oracle.run_campaign: count must be positive";
@@ -752,9 +631,9 @@ let csv_rows report =
         match c.unrefined with Some u -> string_of_int u | None -> ""
       in
       Buffer.add_string buf
-        (Printf.sprintf "%s,%s,%s,%d,%d,%s,%d,%s,%s,%s\n" (mode_name c.mode)
-           c.shape c.task c.core c.bcet observed c.wcet ratio dominant
-           unrefined))
+        (Printf.sprintf "%s,%s,%s,%d,%d,%s,%d,%s,%s,%s\n"
+           (Core.Mode.name c.mode) c.shape c.task c.core c.bcet observed
+           c.wcet ratio dominant unrefined))
     report.checks;
   Buffer.contents buf
 

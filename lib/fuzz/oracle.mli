@@ -29,7 +29,9 @@
     platform: it lower-bounds every execution on every mode, contended
     ones included. *)
 
-type mode =
+(** {!Core.Mode.t}, re-exported for [bench/ledger] until its benchmark
+    follow-up names modes through {!Core.Mode}. *)
+type mode = Core.Mode.t =
   | Solo
   | Oblivious
   | Joint
@@ -40,8 +42,10 @@ type mode =
   | Dynamic
 
 val all_modes : mode list
+(** {!Core.Mode.all}, kept for [bench/ledger] until the same follow-up. *)
+
 val mode_name : mode -> string
-val mode_of_string : string -> (mode, string) result
+(** {!Core.Mode.name}, kept for [bench/ledger] until the same follow-up. *)
 
 type interp = [ `Block | `Reference | `Both ]
 (** Which simulator interpreter the observed side runs on.  [`Both]

@@ -55,17 +55,28 @@ let space_mem state = function
   | Instr.Stack -> state.stack
   | Instr.Io -> state.io
 
+let range_fault ~store space idx =
+  fault "%s %s[%d] out of range"
+    (if store then "store" else "load")
+    (Instr.space_to_string space) idx
+
 let read_mem state space idx =
   let mem = space_mem state space in
   if idx < 0 || idx >= Array.length mem then
-    fault "load %s[%d] out of range" (Instr.space_to_string space) idx
+    range_fault ~store:false space idx
   else mem.(idx)
 
 let write_mem state space idx v =
   let mem = space_mem state space in
   if idx < 0 || idx >= Array.length mem then
-    fault "store %s[%d] out of range" (Instr.space_to_string space) idx
+    range_fault ~store:true space idx
   else mem.(idx) <- v
+
+let in_range state space idx =
+  idx >= 0 && idx < Array.length (space_mem state space)
+
+let check_index state ~store space idx =
+  if not (in_range state space idx) then range_fault ~store space idx
 
 let set_reg state r v = if r <> 0 then state.regs.(r) <- v
 

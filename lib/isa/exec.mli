@@ -72,3 +72,12 @@ val read_mem : state -> Instr.space -> int -> int
 val write_mem : state -> Instr.space -> int -> int -> unit
 (** Word write at a space-relative index.
     @raise Fault out of range. *)
+
+val in_range : state -> Instr.space -> int -> bool
+(** Whether a space-relative word index lies inside its memory. *)
+
+val check_index : state -> store:bool -> Instr.space -> int -> unit
+(** Raises the {!Fault} that {!write_mem} (with [store]) or {!read_mem}
+    (without) raises at an out-of-range index, and returns otherwise:
+    the simulator checks an access before its cache model sees the
+    address. *)

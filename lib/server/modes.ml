@@ -7,13 +7,7 @@ let kind_of_string = function
   | "bcet" -> Ok Bcet
   | s -> Error (Printf.sprintf "unknown kind %S (expected wcet | bcet)" s)
 
-let mode_of_string = Fuzz.Oracle.mode_of_string
-
-(* Same shared-L2 geometry the CLI's attribute/analyze paths use. *)
-let l2_cfg = Cache.Config.make ~sets:64 ~assoc:4 ~line_size:16
-let solo_platform () = Core.Platform.single_core ~l2:l2_cfg ()
-
-let system ~cores task =
+let task_group ~cores task =
   Core.Multicore.default_system ~cores
     ~tasks:(Array.make cores (Some task))
 
@@ -49,11 +43,11 @@ let store_key ?refine ~mode ~cores ~kind annot program =
     match refine with None -> "norefine" | Some c -> Refine.salt c
   in
   match mode with
-  | Fuzz.Oracle.Solo -> (
+  | Core.Mode.Solo -> (
       match
         Core.Memo.key ~kind:kind_s ~annot
           ~salt:(Option.map Refine.salt refine)
-          (solo_platform ()) program
+          (Core.Mode.solo_platform ()) program
       with
       | Some k -> k
       | None ->
@@ -69,12 +63,12 @@ let store_key ?refine ~mode ~cores ~kind annot program =
               Core.Memo.program_fingerprint program;
             ])
   | _ ->
-      let sys = system ~cores (program, Dataflow.Annot.empty) in
+      let sys = task_group ~cores (program, Dataflow.Annot.empty) in
       Engine.Fingerprint.of_strings
         [
           "paratime-serve-v1";
           kind_s;
-          Fuzz.Oracle.mode_name mode;
+          Core.Mode.name mode;
           string_of_int cores;
           refine_s;
           system_fingerprint sys;
@@ -87,86 +81,54 @@ let store_key ?refine ~mode ~cores ~kind annot program =
    pays for it; forced inside each mode's exception guard, so a front
    end that fails is that mode's [Error], as on a fresh analysis. *)
 type pack = {
-  cores : int;
-  task : Isa.Program.t * Dataflow.Annot.t;
+  sys : Core.Multicore.system;
   ctxs : Core.Multicore.contexts Lazy.t;
   solo_ctx : Core.Context.t Lazy.t;
 }
 
 let pack ~cores ((program, annot) as task) =
+  let sys = task_group ~cores task in
   {
-    cores;
-    task;
-    ctxs = lazy (Core.Multicore.contexts (system ~cores task));
+    sys;
+    ctxs = lazy (Core.Multicore.contexts sys);
     solo_ctx =
-      lazy (Core.Context.of_platform ~annot (solo_platform ()) program);
+      lazy
+        (Core.Context.of_platform ~annot (Core.Mode.solo_platform ())
+           program);
   }
 
+let system p = p.sys
 let contexts p = Lazy.force p.ctxs
 
 let analyze_mode ?refine ~mode ~kind p =
-  let solo_ctx () = Lazy.force p.solo_ctx in
-  match (kind, mode) with
-  | Bcet, Fuzz.Oracle.Solo -> (
-      match Core.Bcet.analyze_with ~ctx:(solo_ctx ()) (solo_platform ()) with
-      | b -> Ok (Store.Entry.of_bcet b)
-      | exception Core.Wcet.Not_analysable msg ->
-          Error ("not analysable: " ^ msg))
-  | Bcet, m ->
-      Error
-        (Printf.sprintf
-           "kind bcet is only defined for mode solo (got mode %s)"
-           (Fuzz.Oracle.mode_name m))
-  | Wcet, m -> (
-      let of_core0 results =
-        match results.(0) with
+  let solo = Core.Mode.solo_platform () in
+  match
+    match (kind, mode) with
+    | Bcet, Core.Mode.Solo ->
+        Ok
+          (Store.Entry.of_bcet
+             (Core.Bcet.analyze_with ~ctx:(Lazy.force p.solo_ctx) solo))
+    | Bcet, m ->
+        Error
+          (Printf.sprintf
+             "kind bcet is only defined for mode solo (got mode %s)"
+             (Core.Mode.name m))
+    | Wcet, Core.Mode.Solo ->
+        Ok
+          (Store.Entry.of_wcet
+             (Core.Wcet.analyze_with ?refine ~ctx:(Lazy.force p.solo_ctx)
+                solo))
+    | Wcet, m -> (
+        match (Core.Mode.analyze ~ctxs:(contexts p) ?refine p.sys m).(0) with
         | Some w -> Ok (Store.Entry.of_wcet w)
-        | None -> Error "no analysis result for core 0"
-      in
-      let sys () = system ~cores:p.cores p.task in
-      match
-        match m with
-        | Fuzz.Oracle.Solo ->
-            Ok
-              (Store.Entry.of_wcet
-                 (Core.Wcet.analyze_with ?refine ~ctx:(solo_ctx ())
-                    (solo_platform ())))
-        | Fuzz.Oracle.Oblivious ->
-            of_core0
-              (Core.Multicore.analyze_oblivious ~ctxs:(contexts p) ?refine
-                 (sys ()))
-        | Fuzz.Oracle.Joint ->
-            of_core0
-              (Core.Multicore.analyze_joint ~ctxs:(contexts p) ?refine
-                 (sys ()) ())
-        | Fuzz.Oracle.Bypass ->
-            of_core0
-              (Core.Multicore.analyze_joint ~ctxs:(contexts p) ?refine
-                 (sys ()) ~bypass:true ())
-        | Fuzz.Oracle.Columnized ->
-            of_core0
-              (Core.Multicore.analyze_partitioned ~ctxs:(contexts p) ?refine
-                 (sys ()) ~scheme:Cache.Partition.Columnization)
-        | Fuzz.Oracle.Bankized ->
-            of_core0
-              (Core.Multicore.analyze_partitioned ~ctxs:(contexts p) ?refine
-                 (sys ()) ~scheme:Cache.Partition.Bankization)
-        | Fuzz.Oracle.Locked ->
-            of_core0
-              (Core.Multicore.analyze_locked ~ctxs:(contexts p) ?refine
-                 (sys ()))
-        | Fuzz.Oracle.Dynamic ->
-            of_core0
-              (Core.Multicore.analyze_locked_dynamic ~ctxs:(contexts p)
-                 ?refine (sys ()))
-      with
-      | r -> r
-      | exception Core.Wcet.Not_analysable msg ->
-          Error ("not analysable: " ^ msg))
+        | None -> Error "no analysis result for core 0")
+  with
+  | r -> r
+  | exception Core.Wcet.Not_analysable msg -> Error ("not analysable: " ^ msg)
 
 let analyze ?refine ~mode ~cores ~kind task =
   analyze_mode ?refine ~mode ~kind (pack ~cores task)
 
-let analyze_all ?(modes = Fuzz.Oracle.all_modes) ?refine ~cores ~kind task =
+let analyze_all ?(modes = Core.Mode.all) ?refine ~cores ~kind task =
   let p = pack ~cores task in
   List.map (fun mode -> (mode, analyze_mode ?refine ~mode ~kind p)) modes

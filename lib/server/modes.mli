@@ -1,9 +1,8 @@
 (** Per-approach-mode analysis wiring for the service.
 
-    The serve protocol names the same eight approach modes the fuzz
-    oracle validates ({!Fuzz.Oracle.mode}); this module maps a (mode,
-    cores, kind, task) request to a distilled {!Store.Entry.t} and to the
-    store key that caches it.
+    The serve protocol names the eight approach modes of {!Core.Mode};
+    this module maps a (mode, cores, kind, task) request to a distilled
+    {!Store.Entry.t} and to the store key that caches it.
 
     Co-runner convention: the contended modes analyze a task *group*
     with the requested program on every core (the same convention
@@ -26,13 +25,9 @@ type kind = Wcet | Bcet
 val kind_name : kind -> string
 val kind_of_string : string -> (kind, string) result
 
-val mode_of_string : string -> (Fuzz.Oracle.mode, string) result
-(** {!Fuzz.Oracle.mode_of_string} minus [Solo]-only spellings — accepts
-    exactly the oracle's eight names. *)
-
 val store_key :
   ?refine:Refine.config ->
-  mode:Fuzz.Oracle.mode ->
+  mode:Core.Mode.t ->
   cores:int ->
   kind:kind ->
   Dataflow.Annot.t ->
@@ -57,16 +52,19 @@ val pack : cores:int -> Isa.Program.t * Dataflow.Annot.t -> pack
 (** The pack of a (cores, task) request; nothing is built until a mode
     needs it.  Not domain-safe: use a pack on one domain. *)
 
+val system : pack -> Core.Multicore.system
+(** The request's task group: the requested program on every core. *)
+
 val contexts : pack -> Core.Multicore.contexts
 (** The contended modes' contexts (built on first use), for callers that
-    pair an analysis with helpers taking [?ctxs] / [?ctx], such as
-    {!Core.Multicore.bypass_lines}.
+    pair an analysis with other work taking [?ctxs], such as
+    {!Core.Mode.runs}.
     @raise Core.Wcet.Not_analysable when the front end rejects the
     task. *)
 
 val analyze_mode :
   ?refine:Refine.config ->
-  mode:Fuzz.Oracle.mode ->
+  mode:Core.Mode.t ->
   kind:kind ->
   pack ->
   (Store.Entry.t, string) result
@@ -76,7 +74,7 @@ val analyze_mode :
 
 val analyze :
   ?refine:Refine.config ->
-  mode:Fuzz.Oracle.mode ->
+  mode:Core.Mode.t ->
   cores:int ->
   kind:kind ->
   Isa.Program.t * Dataflow.Annot.t ->
@@ -89,14 +87,14 @@ val analyze :
     the server submits it to {!Engine.Service}. *)
 
 val analyze_all :
-  ?modes:Fuzz.Oracle.mode list ->
+  ?modes:Core.Mode.t list ->
   ?refine:Refine.config ->
   cores:int ->
   kind:kind ->
   Isa.Program.t * Dataflow.Annot.t ->
-  (Fuzz.Oracle.mode * (Store.Entry.t, string) result) list
+  (Core.Mode.t * (Store.Entry.t, string) result) list
 (** The multi-mode op behind [mode:"all"]: one entry per requested mode
-    (default: all eight, in {!Fuzz.Oracle.all_modes} order), all from one
+    (default: all eight, in {!Core.Mode.all} order), all from one
     pack.  Each mode's result is bit-identical to the corresponding
     single-mode {!analyze} call; per-mode failures surface as that
     mode's [Error] without aborting the rest. *)

@@ -1,6 +1,6 @@
 type op = Analyze | Attribute | Status | Stats | Metrics | Shutdown
 
-type mode_req = One of Fuzz.Oracle.mode | All
+type mode_req = One of Core.Mode.t | All
 
 type metrics_format = Fmt_json | Fmt_prometheus
 
@@ -97,10 +97,10 @@ let parse_request line =
               | Ok source -> (
                   let mode_r =
                     match Json.str_field "mode" j with
-                    | None -> Ok (One Fuzz.Oracle.Solo)
+                    | None -> Ok (One Core.Mode.Solo)
                     | Some "all" -> Ok All
                     | Some s ->
-                        Result.map (fun m -> One m) (Modes.mode_of_string s)
+                        Result.map (fun m -> One m) (Core.Mode.of_string s)
                   in
                   let kind_r =
                     match Json.str_field "kind" j with

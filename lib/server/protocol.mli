@@ -25,7 +25,7 @@
 
 type op = Analyze | Attribute | Status | Stats | Metrics | Shutdown
 
-type mode_req = One of Fuzz.Oracle.mode | All
+type mode_req = One of Core.Mode.t | All
 (** [mode:"all"] requests every approach mode at once; the server
     computes them from one shared context pack ({!Modes.analyze_all})
     and replies with a per-mode object ({!ok_all_reply}). *)

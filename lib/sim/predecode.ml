@@ -327,6 +327,11 @@ let append_data cfg bus core (u : uop) =
       let line = addr / core.l1d_line_size in
       if line = core.last_d_line then Cache.Concrete.note_hit ci.ci_l1d
       else begin
+        (* An out-of-range index faults as the semantics would, before
+           the cache model sees its address. *)
+        Isa.Exec.check_index ci.ci_exec
+          ~store:(match u.u_sem with S_store _ -> true | _ -> false)
+          d_space idx;
         core.last_d_line <- line;
         match Cache.Concrete.access ci.ci_l1d addr with
         | `Hit -> ()
@@ -506,8 +511,10 @@ let probe_safe core (u : uop) =
   | D_mem { d_space; d_base; d_off } ->
       let idx = ci.ci_exec.Isa.Exec.regs.(d_base) + d_off in
       let addr = Isa.Layout.byte_addr d_space idx in
+      (* an out-of-range access waits to be planned first, and faults *)
       addr / core.l1d_line_size = core.last_d_line
-      || Cache.Concrete.probe ci.ci_l1d addr
+      || Isa.Exec.in_range ci.ci_exec d_space idx
+         && Cache.Concrete.probe ci.ci_l1d addr
 
 (* Dispatch: plan a run of micro-ops up to the end of the basic block
    and pre-apply their semantics, interleaving plan(i)/exec(i) per

@@ -119,10 +119,16 @@ let plan_instruction cfg bus core =
     | Isa.Instr.Load (sp, _, rb, off) | Isa.Instr.Store (sp, _, rb, off) ->
         let idx = ci.ci_exec.Isa.Exec.regs.(rb) + off in
         let addr = Isa.Layout.byte_addr sp idx in
-        if Isa.Layout.is_cacheable sp then
+        if Isa.Layout.is_cacheable sp then begin
+          (* An out-of-range index faults as the semantics would, before
+             the cache model sees its address. *)
+          Isa.Exec.check_index ci.ci_exec
+            ~store:(match ins with Isa.Instr.Store _ -> true | _ -> false)
+            sp idx;
           match Cache.Concrete.access ci.ci_l1d addr with
           | `Hit -> [ l1_lookup () ]
           | `Miss -> [ l1_lookup (); Bus_tx (miss_tx addr) ]
+        end
         else
           (* The device's own service time is work, not interference. *)
           [

@@ -162,28 +162,12 @@ let test_platform_bounds () =
 let sum_src =
   "main:\n  li r1, 10\n  li r2, 0\nloop:\n  add r2, r2, r1\n  subi r1, r1, 1\n  bne r1, r0, loop\n  halt\n"
 
-let sim_config_of (platform : Core.Platform.t) =
-  {
-    Sim.Machine.latencies = platform.Core.Platform.latencies;
-    l1i = platform.Core.Platform.l1i;
-    l1d = platform.Core.Platform.l1d;
-    l2 =
-      (match platform.Core.Platform.l2 with
-      | Core.Platform.No_l2 -> Sim.Machine.No_l2
-      | Core.Platform.Private_l2 c -> Sim.Machine.Private_l2 [| c |]
-      | Core.Platform.Shared_l2 { config; _ }
-      | Core.Platform.Locked_l2 { config; _ } ->
-          Sim.Machine.Shared_l2 config);
-    arbiter = Interconnect.Arbiter.Private;
-    refresh = platform.Core.Platform.refresh;
-    i_path = Sim.Machine.Conventional;
-  }
 
 let test_wcet_sound_and_tight () =
   let p = parse sum_src in
   let platform = Core.Platform.single_core () in
   let a = Core.Wcet.analyze platform p in
-  let r = Sim.Machine.run_single (sim_config_of platform) p () in
+  let r = Sim.Machine.run_single (Core.Platform.machine platform) p () in
   Alcotest.(check bool) "halted" true r.Sim.Machine.halted;
   Alcotest.(check bool)
     (Printf.sprintf "sound: %d >= %d" a.Core.Wcet.wcet r.Sim.Machine.cycles)
@@ -200,7 +184,7 @@ let test_wcet_with_l2_sound () =
   let l2 = Cache.Config.make ~sets:16 ~assoc:2 ~line_size:16 in
   let platform = Core.Platform.single_core ~l2 () in
   let a = Core.Wcet.analyze platform p in
-  let r = Sim.Machine.run_single (sim_config_of platform) p () in
+  let r = Sim.Machine.run_single (Core.Platform.machine platform) p () in
   Alcotest.(check bool) "sound with L2" true
     (a.Core.Wcet.wcet >= r.Sim.Machine.cycles)
 
@@ -211,7 +195,7 @@ let test_wcet_calls () =
   in
   let platform = Core.Platform.single_core () in
   let a = Core.Wcet.analyze platform p in
-  let r = Sim.Machine.run_single (sim_config_of platform) p () in
+  let r = Sim.Machine.run_single (Core.Platform.machine platform) p () in
   Alcotest.(check bool) "sound across calls" true
     (a.Core.Wcet.wcet >= r.Sim.Machine.cycles);
   Alcotest.(check int) "two procedures" 2 (List.length a.Core.Wcet.procs);
@@ -454,7 +438,7 @@ let test_bcet_sandwich () =
   let platform = Core.Platform.single_core () in
   let w = Core.Wcet.analyze platform p in
   let b = Core.Bcet.analyze platform p in
-  let r = Sim.Machine.run_single (sim_config_of platform) p () in
+  let r = Sim.Machine.run_single (Core.Platform.machine platform) p () in
   Alcotest.(check bool)
     (Printf.sprintf "bcet %d <= observed %d <= wcet %d" b.Core.Bcet.bcet
        r.Sim.Machine.cycles w.Core.Wcet.wcet)
@@ -503,9 +487,6 @@ let mc_config = { Cache.Method_cache.slots = 8; fill_per_word = 2 }
 let method_platform () =
   { (Core.Platform.single_core ()) with Core.Platform.method_cache = Some mc_config }
 
-let method_sim_config (platform : Core.Platform.t) =
-  { (sim_config_of platform) with Sim.Machine.i_path = Sim.Machine.Method_cache mc_config }
-
 let test_method_cache_sound () =
   let sources =
     [ sum_src;
@@ -518,7 +499,7 @@ let test_method_cache_sound () =
       let platform = method_platform () in
       let a = Core.Wcet.analyze platform p in
       let r =
-        (Sim.Machine.run (method_sim_config platform)
+        (Sim.Machine.run (Core.Platform.machine platform)
            ~cores:[| Sim.Machine.task p |] ()).(0)
       in
       Alcotest.(check bool)
@@ -535,7 +516,7 @@ let test_method_cache_misses_only_at_calls () =
   let p = parse sum_src in
   let platform = method_platform () in
   let r =
-    (Sim.Machine.run (method_sim_config platform)
+    (Sim.Machine.run (Core.Platform.machine platform)
        ~cores:[| Sim.Machine.task p |] ()).(0)
   in
   (* fetch 1 + exec cost per instruction, plus the single entry load. *)
@@ -578,10 +559,10 @@ let test_method_cache_thrashing_charged () =
   let w_tiny = (Core.Wcet.analyze platform p).Core.Wcet.wcet in
   let w_roomy = (Core.Wcet.analyze roomy p).Core.Wcet.wcet in
   Alcotest.(check bool) "thrashing costs more" true (w_tiny > w_roomy);
-  let sim_cfg =
-    { (sim_config_of platform) with Sim.Machine.i_path = Sim.Machine.Method_cache tiny }
+  let r =
+    (Sim.Machine.run (Core.Platform.machine platform)
+       ~cores:[| Sim.Machine.task p |] ()).(0)
   in
-  let r = (Sim.Machine.run sim_cfg ~cores:[| Sim.Machine.task p |] ()).(0) in
   Alcotest.(check bool)
     (Printf.sprintf "tiny cache sound: %d >= %d" w_tiny r.Sim.Machine.cycles)
     true
@@ -791,6 +772,151 @@ let test_context_shared_across_slots () =
     (Core.Multicore.analyze_locked_dynamic ~ctxs sys)
 
 (* ------------------------------------------------------------------ *)
+(* Approach modes                                                     *)
+(* ------------------------------------------------------------------ *)
+
+let test_mode_names () =
+  Alcotest.(check int) "eight modes" 8 (List.length Core.Mode.all);
+  List.iter
+    (fun m ->
+      Alcotest.(check bool)
+        (Core.Mode.name m ^ " round-trips")
+        true
+        (Core.Mode.of_string (Core.Mode.name m) = Ok m))
+    Core.Mode.all;
+  Alcotest.(check bool) "case-insensitive" true
+    (Core.Mode.of_string "JOINT" = Ok Core.Mode.Joint);
+  match Core.Mode.of_string "nosuch" with
+  | Ok _ -> Alcotest.fail "unknown mode parsed"
+  | Error msg ->
+      List.iter
+        (fun m ->
+          Alcotest.(check bool)
+            ("error lists " ^ Core.Mode.name m)
+            true
+            (Astring.String.is_infix ~affix:(Core.Mode.name m) msg))
+        Core.Mode.all
+
+(* Two catalog programs on a 2-core system, one plain setup per slot. *)
+let mode_group ?(names = [ "crc"; "vector_sum" ]) () =
+  let tasks =
+    List.map
+      (fun name ->
+        let b = Option.get (Workloads.Bench_programs.by_name name) in
+        Workloads.Bench_programs.(b.program, b.annot))
+      names
+    |> Array.of_list
+  in
+  ( Core.Multicore.default_system ~cores:2
+      ~tasks:(Array.map (fun t -> Some t) tasks),
+    tasks,
+    Array.map (fun (p, _) -> Sim.Machine.task p) tasks )
+
+let test_mode_runs () =
+  let sys, tasks, setups = mode_group () in
+  let l2 = sys.Core.Multicore.l2 in
+  let runs m = Core.Mode.runs sys m setups in
+  let group m =
+    match runs m with
+    | [ r ] ->
+        Alcotest.(check (array int))
+          (Core.Mode.name m ^ " runs both slots")
+          [| 0; 1 |] r.Core.Mode.slots;
+        Alcotest.(check bool)
+          (Core.Mode.name m ^ " keeps the system's bus")
+          true
+          (r.Core.Mode.config.Sim.Machine.arbiter
+          = sys.Core.Multicore.arbiter);
+        r
+    | rs ->
+        Alcotest.failf "%s: %d runs, expected one group run"
+          (Core.Mode.name m) (List.length rs)
+  in
+  (match runs Core.Mode.Oblivious with
+  | [ r0; r1 ] ->
+      List.iteri
+        (fun i (r : Core.Mode.run) ->
+          Alcotest.(check (array int))
+            "one slot each" [| i |] r.Core.Mode.slots;
+          Alcotest.(check int) "one core" 1 (Array.length r.Core.Mode.setups);
+          Alcotest.(check bool) "private L2" true
+            (r.Core.Mode.config.Sim.Machine.l2
+            = Sim.Machine.Private_l2 [| l2 |]);
+          Alcotest.(check bool) "private bus" true
+            (r.Core.Mode.config.Sim.Machine.arbiter
+            = Interconnect.Arbiter.Private);
+          Alcotest.(check bool) "the slot's program" true
+            (r.Core.Mode.setups.(0).Sim.Machine.program
+            = Some (fst tasks.(i))))
+        [ r0; r1 ]
+  | rs -> Alcotest.failf "oblivious: %d runs, expected 2" (List.length rs));
+  List.iter
+    (fun m ->
+      Alcotest.(check bool)
+        (Core.Mode.name m ^ " on the shared L2")
+        true
+        ((group m).Core.Mode.config.Sim.Machine.l2
+        = Sim.Machine.Shared_l2 l2))
+    Core.Mode.[ Joint; Bypass; Locked ];
+  List.iter
+    (fun (m, scheme) ->
+      let alloc = Cache.Partition.even_shares scheme l2 ~parts:2 in
+      let slices =
+        Array.init 2 (fun index ->
+            Cache.Partition.partition_config l2 alloc ~index)
+      in
+      Alcotest.(check bool)
+        (Core.Mode.name m ^ " on even slices")
+        true
+        ((group m).Core.Mode.config.Sim.Machine.l2
+        = Sim.Machine.Private_l2 slices))
+    [
+      (Core.Mode.Columnized, Cache.Partition.Columnization);
+      (Core.Mode.Bankized, Cache.Partition.Bankization);
+    ];
+  Alcotest.(check int) "dynamic has no run" 0
+    (List.length (runs Core.Mode.Dynamic));
+  (* Bypass: each setup bypasses exactly its task's single-usage lines
+     (crc and vector_sum have none; straightline's are all of its). *)
+  List.iter
+    (fun names ->
+      let sys, tasks, setups = mode_group ~names () in
+      let lines = Array.map (Core.Multicore.bypass_lines sys) tasks in
+      let top = List.fold_left max 0 (List.concat (Array.to_list lines)) in
+      match Core.Mode.runs sys Core.Mode.Bypass setups with
+      | [ r ] ->
+          Array.iteri
+            (fun i (s : Sim.Machine.core_setup) ->
+              for l = 0 to top + 64 do
+                if s.Sim.Machine.l2_bypass l <> List.mem l lines.(i) then
+                  Alcotest.failf "slot %d: bypass of line %d disagrees" i l
+              done)
+            r.Core.Mode.setups
+      | _ -> Alcotest.fail "bypass: expected one group run")
+    [ [ "crc"; "vector_sum" ]; [ "crc"; "straightline" ] ];
+  Alcotest.(check bool) "straightline's lines are bypassed" true
+    (let sys, tasks, _ = mode_group ~names:[ "crc"; "straightline" ] () in
+     Core.Multicore.bypass_lines sys tasks.(1) <> []);
+  (* Locked: every setup preloads the global static selection. *)
+  let locked =
+    (Core.Multicore.static_lock_selection sys).Cache.Locking.locked
+  in
+  Array.iter
+    (fun (s : Sim.Machine.core_setup) ->
+      Alcotest.(check (list int)) "locked lines" locked
+        s.Sim.Machine.locked_l2_lines)
+    (group Core.Mode.Locked).Core.Mode.setups
+
+let test_mode_solo_not_on_system () =
+  let sys, _, setups = mode_group () in
+  Alcotest.check_raises "analyze"
+    (Invalid_argument "Mode: solo does not run on a system") (fun () ->
+      ignore (Core.Mode.analyze sys Core.Mode.Solo));
+  Alcotest.check_raises "runs"
+    (Invalid_argument "Mode: solo does not run on a system") (fun () ->
+      ignore (Core.Mode.runs sys Core.Mode.Solo setups))
+
+(* ------------------------------------------------------------------ *)
 (* Predictability                                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -998,6 +1124,13 @@ let () =
           Alcotest.test_case "dynamic locking" `Quick test_dynamic_locking_runs;
           Alcotest.test_case "bypass line discovery" `Quick
             test_bypass_lines_of_straightline;
+        ] );
+      ( "mode",
+        [
+          Alcotest.test_case "names and parser" `Quick test_mode_names;
+          Alcotest.test_case "machine runs per mode" `Quick test_mode_runs;
+          Alcotest.test_case "solo does not run on a system" `Quick
+            test_mode_solo_not_on_system;
         ] );
       ( "context",
         [

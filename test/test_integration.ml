@@ -6,28 +6,11 @@ module B = Workloads.Bench_programs
 
 let l2_small = Cache.Config.make ~sets:16 ~assoc:2 ~line_size:16
 
-let sim_config_of (platform : Core.Platform.t) =
-  {
-    Sim.Machine.latencies = platform.Core.Platform.latencies;
-    l1i = platform.Core.Platform.l1i;
-    l1d = platform.Core.Platform.l1d;
-    l2 =
-      (match platform.Core.Platform.l2 with
-      | Core.Platform.No_l2 -> Sim.Machine.No_l2
-      | Core.Platform.Private_l2 c -> Sim.Machine.Private_l2 [| c |]
-      | Core.Platform.Shared_l2 { config; _ }
-      | Core.Platform.Locked_l2 { config; _ } ->
-          Sim.Machine.Shared_l2 config);
-    arbiter = Interconnect.Arbiter.Private;
-    refresh = platform.Core.Platform.refresh;
-    i_path = Sim.Machine.Conventional;
-  }
-
 let io_inputs (b : B.t) =
   if b.B.name = "div_like" then [ (0, 7 * 63) ] else []
 
 let run_sim platform (b : B.t) =
-  let cfg = sim_config_of platform in
+  let cfg = Core.Platform.machine platform in
   (Sim.Machine.run cfg ~cores:[| Sim.Machine.task b.B.program |] ()).(0)
 
 let check_sound platform_name platform (b : B.t) =

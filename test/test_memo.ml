@@ -171,9 +171,9 @@ let test_catalog_store_key_pinned () =
   in
   for _pass = 1 to 2 do
     Alcotest.(check string) "crc solo key" "cacaf035c54405e183584ca1587cf752"
-      (key Fuzz.Oracle.Solo);
+      (key Core.Mode.Solo);
     Alcotest.(check string) "crc joint key"
-      "51638d97ba86b64ea22e5ffbcfcf2ed6" (key Fuzz.Oracle.Joint)
+      "51638d97ba86b64ea22e5ffbcfcf2ed6" (key Core.Mode.Joint)
   done
 
 let () =

@@ -182,7 +182,7 @@ let test_mode_all () =
           | Some (Json.Obj fields) ->
               Alcotest.(check (list string))
                 "all eight modes in oracle order"
-                (List.map Fuzz.Oracle.mode_name Fuzz.Oracle.all_modes)
+                (List.map Core.Mode.name Core.Mode.all)
                 (List.map fst fields);
               List.iter
                 (fun (name, sub) ->
@@ -602,7 +602,7 @@ let test_loadtest_scrape_delta () =
           connections = 2;
           repeat_ratio = 1.0;
           working_set = 2;
-          modes = [ List.hd Fuzz.Oracle.all_modes ];
+          modes = [ List.hd Core.Mode.all ];
           cores = 2;
           kind = Server_lib.Modes.Wcet;
           seed = 7;
@@ -801,7 +801,7 @@ let test_one_front_end_per_request () =
       let task = catalog name in
       List.iter
         (fun mode ->
-          let label = name ^ "/" ^ Fuzz.Oracle.mode_name mode in
+          let label = name ^ "/" ^ Core.Mode.name mode in
           let r, builds =
             ctx_builds (fun () ->
                 Modes.analyze ~mode ~cores:2 ~kind:Modes.Wcet task)
@@ -812,12 +812,12 @@ let test_one_front_end_per_request () =
             ctx_builds (fun () ->
                 Modes.analyze ~mode ~cores:2 ~kind:Modes.Bcet task)
           in
-          let expected = if mode = Fuzz.Oracle.Solo then 1 else 0 in
+          let expected = if mode = Core.Mode.Solo then 1 else 0 in
           Alcotest.(check bool)
             (label ^ " bcet defined for solo only")
-            (mode = Fuzz.Oracle.Solo) (Result.is_ok r);
+            (mode = Core.Mode.Solo) (Result.is_ok r);
           Alcotest.(check int) (label ^ " bcet contexts") expected builds)
-        Fuzz.Oracle.all_modes;
+        Core.Mode.all;
       let _, builds =
         ctx_builds (fun () ->
             Modes.analyze_all ~cores:2 ~kind:Modes.Wcet task)
@@ -830,7 +830,7 @@ let test_one_front_end_per_request () =
             List.iter
               (fun mode ->
                 ignore (Modes.analyze_mode ~mode ~kind:Modes.Wcet pack))
-              Fuzz.Oracle.all_modes;
+              Core.Mode.all;
             ignore (Modes.contexts pack))
       in
       Alcotest.(check int) (name ^ " one pack builds two contexts") 2 builds)
@@ -846,32 +846,32 @@ let fresh_entry ?refine ~cores mode ((program, annot) as task) =
     | None -> Alcotest.fail "no analysis result for core 0"
   in
   match mode with
-  | Fuzz.Oracle.Solo ->
+  | Core.Mode.Solo ->
       let l2 = Cache.Config.make ~sets:64 ~assoc:4 ~line_size:16 in
       Store.Entry.of_wcet
         (Core.Wcet.analyze ~annot ?refine
            (Core.Platform.single_core ~l2 ())
            program)
-  | Fuzz.Oracle.Oblivious -> core0 (MC.analyze_oblivious ?refine sys)
-  | Fuzz.Oracle.Joint -> core0 (MC.analyze_joint ?refine sys ())
-  | Fuzz.Oracle.Bypass -> core0 (MC.analyze_joint ?refine sys ~bypass:true ())
-  | Fuzz.Oracle.Columnized ->
+  | Core.Mode.Oblivious -> core0 (MC.analyze_oblivious ?refine sys)
+  | Core.Mode.Joint -> core0 (MC.analyze_joint ?refine sys ())
+  | Core.Mode.Bypass -> core0 (MC.analyze_joint ?refine sys ~bypass:true ())
+  | Core.Mode.Columnized ->
       core0
         (MC.analyze_partitioned ?refine sys
            ~scheme:Cache.Partition.Columnization)
-  | Fuzz.Oracle.Bankized ->
+  | Core.Mode.Bankized ->
       core0
         (MC.analyze_partitioned ?refine sys
            ~scheme:Cache.Partition.Bankization)
-  | Fuzz.Oracle.Locked -> core0 (MC.analyze_locked ?refine sys)
-  | Fuzz.Oracle.Dynamic -> core0 (MC.analyze_locked_dynamic ?refine sys)
+  | Core.Mode.Locked -> core0 (MC.analyze_locked ?refine sys)
+  | Core.Mode.Dynamic -> core0 (MC.analyze_locked_dynamic ?refine sys)
 
 let check_identity ?refine name =
   let task = catalog name in
   let sweep = Modes.analyze_all ?refine ~cores:2 ~kind:Modes.Wcet task in
   List.iter
     (fun (mode, swept) ->
-      let label = name ^ "/" ^ Fuzz.Oracle.mode_name mode in
+      let label = name ^ "/" ^ Core.Mode.name mode in
       let entry = function
         | Ok e -> e
         | Error msg -> Alcotest.failf "%s: %s" label msg
@@ -906,7 +906,7 @@ let test_negative_address_bounded () =
     (fun (mode, r) ->
       match r with
       | Ok (_ : Store.Entry.t) -> ()
-      | Error msg -> Alcotest.failf "%s: %s" (Fuzz.Oracle.mode_name mode) msg)
+      | Error msg -> Alcotest.failf "%s: %s" (Core.Mode.name mode) msg)
     (Modes.analyze_all ~cores:2 ~kind:Modes.Wcet
        (program, Dataflow.Annot.empty))
 

@@ -33,6 +33,45 @@ let test_exact_cycles_straightline () =
   Alcotest.(check int) "one i-miss" 1 r.Sim.Machine.l1i_misses;
   Alcotest.(check int) "one i-hit" 1 r.Sim.Machine.l1i_hits
 
+(* An out-of-range data index faults as the semantics would, in both
+   interpreters, alone and on a contended machine (where the block
+   interpreter probes a micro-op before planning it): a negative index
+   must never reach the L1D model's set index. *)
+let test_negative_data_address_faults () =
+  (* 64 sets: the address's line maps to a negative set index *)
+  let l1d = Cache.Config.make ~sets:64 ~assoc:2 ~line_size:16 in
+  let alone = { (base_config ()) with Sim.Machine.l1d } in
+  let contended =
+    {
+      (base_config ~l2:(Sim.Machine.Shared_l2 l2_cfg)
+         ~arbiter:(Interconnect.Arbiter.Round_robin { cores = 2 })
+         ())
+      with
+      Sim.Machine.l1d;
+    }
+  in
+  List.iter
+    (fun (op, access) ->
+      let p =
+        parse
+          (Printf.sprintf "main:\n  li r1, -300000\n  %s r2, 0(r1)\n  halt\n"
+             op)
+      in
+      let fault =
+        Isa.Exec.Fault (Printf.sprintf "%s d[-300000] out of range" access)
+      in
+      List.iter
+        (fun (interp, name) ->
+          Alcotest.check_raises (op ^ " alone, " ^ name) fault (fun () ->
+              ignore (Sim.Machine.run_single ~interp alone p ()));
+          Alcotest.check_raises (op ^ " contended, " ^ name) fault (fun () ->
+              ignore
+                (Sim.Machine.run ~interp contended
+                   ~cores:[| Sim.Machine.task p; Sim.Machine.task p |]
+                   ())))
+        [ (`Block, "block"); (`Reference, "reference") ])
+    [ ("ld.d", "load"); ("st.d", "store") ]
+
 let test_exact_cycles_with_l2 () =
   (* Same program with an L2: the miss costs l2_hit + mem = 60. *)
   let p = parse "main:\n  nop\n  halt\n" in
@@ -799,6 +838,8 @@ let () =
           Alcotest.test_case "refresh adds latency" `Quick
             test_refresh_adds_latency;
           Alcotest.test_case "locked L2 lines" `Quick test_locked_l2_lines;
+          Alcotest.test_case "negative data address faults" `Quick
+            test_negative_data_address_faults;
         ] );
       ( "multicore",
         [
