@@ -18,98 +18,27 @@ type 'a outcome =
   | Failed of { label : string; error : string }
   | Timed_out of { label : string; after_ns : int64 }
 
-(* Bounded FIFO of job indices: producers block while full, consumers
-   block while empty, [close] wakes everyone up for shutdown. *)
-module Bqueue = struct
-  type t = {
-    lock : Mutex.t;
-    not_empty : Condition.t;
-    not_full : Condition.t;
-    buf : int array;
-    mutable rd : int;
-    mutable wr : int;
-    mutable len : int;
-    mutable closed : bool;
-  }
-
-  let create capacity =
-    {
-      lock = Mutex.create ();
-      not_empty = Condition.create ();
-      not_full = Condition.create ();
-      buf = Array.make capacity 0;
-      rd = 0;
-      wr = 0;
-      len = 0;
-      closed = false;
-    }
-
-  let push q x =
-    Mutex.lock q.lock;
-    while q.len = Array.length q.buf && not q.closed do
-      Condition.wait q.not_full q.lock
-    done;
-    if q.closed then begin
-      Mutex.unlock q.lock;
-      invalid_arg "Bqueue.push: closed"
-    end;
-    q.buf.(q.wr) <- x;
-    q.wr <- (q.wr + 1) mod Array.length q.buf;
-    q.len <- q.len + 1;
-    Condition.signal q.not_empty;
-    Mutex.unlock q.lock
-
-  let pop q =
-    Mutex.lock q.lock;
-    while q.len = 0 && not q.closed do
-      Condition.wait q.not_empty q.lock
-    done;
-    let x =
-      if q.len = 0 then None
-      else begin
-        let v = q.buf.(q.rd) in
-        q.rd <- (q.rd + 1) mod Array.length q.buf;
-        q.len <- q.len - 1;
-        Condition.signal q.not_full;
-        Some v
-      end
-    in
-    Mutex.unlock q.lock;
-    x
-
-  let close q =
-    Mutex.lock q.lock;
-    q.closed <- true;
-    Condition.broadcast q.not_empty;
-    Condition.broadcast q.not_full;
-    Mutex.unlock q.lock
-end
-
-let default_workers () = max 1 (Domain.recommended_domain_count () - 1)
+let default_workers () = max 1 (Domain.recommended_domain_count ())
 
 (* Tracing state of one pool run.  Job tracks are registered up front in
    job order, so their tids — and therefore the merged export — do not
    depend on which worker ends up executing which job; each worker gets
-   its own track for the queue-wait/run breakdown. *)
+   its own track for the queue-wait/run breakdown.  Every job is
+   runnable from [start_ns], the start of the run. *)
 type trace = {
   obs : Obs.Sink.t;
   job_tracks : Obs.Sink.track array;
-  enqueued_ns : int64 array;  (* when the job became runnable *)
+  start_ns : int64;
 }
 
 let make_trace jobs =
   match Obs.sink () with
   | None -> None
   | Some obs ->
-      Some
-        {
-          obs;
-          job_tracks =
-            Array.map
-              (fun j -> Obs.Sink.new_track obs ("job:" ^ j.label))
-              jobs;
-          enqueued_ns = Array.make (Array.length jobs) 0L;
-        }
+      let job_tracks =
+        Array.map (fun j -> Obs.Sink.new_track obs ("job:" ^ j.label)) jobs
+      in
+      Some { obs; job_tracks; start_ns = Obs.Sink.now obs }
 
 let run ?workers ?timeout_ns jobs =
   let jobs = Array.of_list jobs in
@@ -155,7 +84,7 @@ let run ?workers ?timeout_ns jobs =
     | None -> body ()
     | Some tr ->
         let t0 = Obs.Sink.now tr.obs in
-        let queue_ns = Int64.to_int (Int64.sub t0 tr.enqueued_ns.(i)) in
+        let queue_ns = Int64.to_int (Int64.sub t0 tr.start_ns) in
         let m = Obs.Sink.metrics tr.obs in
         Obs.Metrics.observe m "pool.queue_wait_ns" queue_ns;
         (match worker_track worker with
@@ -180,41 +109,27 @@ let run ?workers ?timeout_ns jobs =
             | Some wt -> Obs.Sink.end_at wt ~ts:t1)
           (fun () -> Obs.with_track tr.obs tr.job_tracks.(i) body)
   in
-  let mark_enqueued i =
-    match trace with
-    | None -> ()
-    | Some tr -> tr.enqueued_ns.(i) <- Obs.Sink.now tr.obs
+  (* Workers claim job indices in order from one shared counter.  The
+     calling domain is worker 0 and spawns only [workers - 1] domains:
+     every minor collection stops all domains, an idle one included, and
+     a caller blocked in [Domain.join] would join each collection only
+     once its backup thread got a core away from the workers. *)
+  let next = Atomic.make 0 in
+  let rec loop w =
+    let i = Atomic.fetch_and_add next 1 in
+    if i < n then begin
+      exec ~worker:w i;
+      loop w
+    end
   in
-  if workers <= 1 || n <= 1 then begin
-    for i = 0 to n - 1 do
-      mark_enqueued i
-    done;
-    for i = 0 to n - 1 do
-      exec ~worker:0 i
-    done
-  end
-  else begin
-    let q = Bqueue.create (2 * workers) in
-    let worker w () =
-      let rec loop () =
-        match Bqueue.pop q with
-        | Some i ->
-            exec ~worker:w i;
-            loop ()
-        | None -> ()
-      in
-      loop ()
-    in
-    let domains =
-      Array.init (min workers n) (fun w -> Domain.spawn (worker w))
-    in
-    for i = 0 to n - 1 do
-      mark_enqueued i;
-      Bqueue.push q i
-    done;
-    Bqueue.close q;
-    Array.iter Domain.join domains
-  end;
+  let domains = ref [] in
+  Fun.protect
+    ~finally:(fun () -> List.iter Domain.join !domains)
+    (fun () ->
+      for w = 1 to min workers n - 1 do
+        domains := Domain.spawn (fun () -> loop w) :: !domains
+      done;
+      loop 0);
   Array.to_list
     (Array.map (function Some o -> o | None -> assert false) results)
 

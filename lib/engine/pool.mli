@@ -1,9 +1,11 @@
 (** Worker-pool job scheduler on OCaml 5 domains.
 
-    [run] executes a list of jobs on a bounded work queue served by a
-    fixed set of worker domains and returns one outcome per job, *in job
-    order* regardless of completion order — parallel and sequential runs
-    of a deterministic job list are indistinguishable from the results.
+    [run] executes a list of jobs on [workers] workers: the calling
+    domain, as worker 0, and [workers - 1] spawned domains, all claiming
+    jobs in order from one shared atomic index.  It returns one outcome
+    per job, *in job order* regardless of completion order — parallel and
+    sequential runs of a deterministic job list are indistinguishable
+    from the results.
 
     A job that raises yields a [Failed] outcome; it never kills the pool
     or the other jobs.  Runaway jobs (e.g. a joint-interleaving explosion)
@@ -17,9 +19,10 @@
     its own track (registered in job order, so tids — and the merged
     export — are identical at any worker count), each worker a
     ["worker N"] track carrying a [cat:"pool"] span per executed job with
-    its queue-wait, and the sink's metrics gain [pool.queue_wait_ns] /
-    [pool.run_ns] histograms and a [pool.jobs] counter.  Events the job
-    body records land on the job's track. *)
+    its queue-wait (the caller's track is ["worker 0"]), and the sink's
+    metrics gain [pool.queue_wait_ns] / [pool.run_ns] histograms and a
+    [pool.jobs] counter.  A job's queue-wait counts from the start of the
+    run.  Events the job body records land on the job's track. *)
 
 type ctx
 (** Per-job cancellation context. *)
@@ -44,13 +47,15 @@ type 'a outcome =
   | Timed_out of { label : string; after_ns : int64 }
 
 val default_workers : unit -> int
-(** [Domain.recommended_domain_count () - 1], at least 1 — leaves a core
-    for the coordinating domain. *)
+(** [Domain.recommended_domain_count ()], at least 1 — the calling
+    domain is one of the workers. *)
 
 val run : ?workers:int -> ?timeout_ns:int64 -> 'a job list -> 'a outcome list
-(** [workers] defaults to {!default_workers}; [workers <= 1] runs the
-    jobs in the calling domain (identical outcomes, no domains spawned).
-    [timeout_ns] is the per-job budget enforced via {!check}. *)
+(** [workers] defaults to {!default_workers}; [run] spawns
+    [min workers (List.length jobs) - 1] domains and joins them before it
+    returns, so [workers <= 1] runs the jobs in the calling domain
+    (identical outcomes, no domains spawned).  [timeout_ns] is the
+    per-job budget enforced via {!check}. *)
 
 val map : ?workers:int -> ?timeout_ns:int64 -> ('a -> 'b) -> 'a list -> 'b outcome list
 (** [map f xs] = [run (List.map (fun x -> job (fun _ -> f x)) xs)]. *)

@@ -73,8 +73,12 @@ let worker_loop t =
   loop ()
 
 let create ?workers ?(queue_capacity = 64) () =
+  (* The creating domain keeps serving its callers and runs no jobs, so
+     the default leaves it a core. *)
   let n_workers =
-    match workers with Some n -> n | None -> Pool.default_workers ()
+    match workers with
+    | Some n -> n
+    | None -> max 1 (Domain.recommended_domain_count () - 1)
   in
   if n_workers < 1 then invalid_arg "Engine.Service.create: workers < 1";
   if queue_capacity < 0 then

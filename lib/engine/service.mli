@@ -21,9 +21,10 @@
 type t
 
 val create : ?workers:int -> ?queue_capacity:int -> unit -> t
-(** Spawns [workers] domains (default {!Pool.default_workers}, min 1)
-    serving a queue bounded at [queue_capacity] pending jobs (default
-    64).
+(** Spawns [workers] domains (default
+    [Domain.recommended_domain_count () - 1], at least 1: the creating
+    domain keeps serving its callers and runs no jobs) serving a queue
+    bounded at [queue_capacity] pending jobs (default 64).
     @raise Invalid_argument if [workers < 1] or [queue_capacity < 0]. *)
 
 val workers : t -> int

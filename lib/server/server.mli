@@ -28,7 +28,9 @@
 
 type config = {
   port : int;  (** 0 = ephemeral; the bound port goes to [ready] *)
-  workers : int option;  (** [None] = {!Engine.Pool.default_workers} *)
+  workers : int option;
+      (** [None] = {!Engine.Service.create}'s default,
+          [Domain.recommended_domain_count () - 1], at least 1 *)
   queue_capacity : int;
   store_root : string option;  (** [None] = in-memory store only *)
   budget_bytes : int;

@@ -202,6 +202,31 @@ let test_pool_timeout () =
   | [ Engine.Pool.Done 42 ] -> ()
   | _ -> Alcotest.fail "in-budget job should complete"
 
+let test_pool_caller_is_worker_0 () =
+  (* Each job records its domain, then waits until both jobs have
+     started, so no domain can run both.  Two workers are the caller and
+     one spawned domain: the caller must run one of the jobs. *)
+  let started = Atomic.make 0 in
+  let deadline = Int64.add (Engine.Telemetry.now_ns ()) 5_000_000_000L in
+  let job =
+    Engine.Pool.job (fun _ ->
+        let self = (Domain.self () :> int) in
+        Atomic.incr started;
+        while
+          Atomic.get started < 2
+          && Int64.compare (Engine.Telemetry.now_ns ()) deadline < 0
+        do
+          Domain.cpu_relax ()
+        done;
+        if Atomic.get started < 2 then None else Some self)
+  in
+  let caller = (Domain.self () :> int) in
+  match Engine.Pool.run ~workers:2 [ job; job ] with
+  | [ Engine.Pool.Done (Some a); Engine.Pool.Done (Some b) ] ->
+      Alcotest.(check bool) "two domains" true (a <> b);
+      Alcotest.(check bool) "caller ran a job" true (a = caller || b = caller)
+  | _ -> Alcotest.fail "the two jobs did not run side by side within 5 s"
+
 (* ------------------------------------------------------------------ *)
 (* Fingerprints                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -539,6 +564,8 @@ let () =
           Alcotest.test_case "exception isolation" `Quick
             test_pool_exception_isolation;
           Alcotest.test_case "cooperative timeout" `Quick test_pool_timeout;
+          Alcotest.test_case "caller is worker 0" `Quick
+            test_pool_caller_is_worker_0;
         ] );
       ( "fingerprint",
         [
