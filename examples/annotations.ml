@@ -46,7 +46,7 @@ let () =
   (* Check the bound against the worst actual input the annotation
      admits (dividend = 7*64 - 1 runs the loop 63 times). *)
   let st = Isa.Exec.init program in
-  st.Isa.Exec.io.(0) <- (7 * 64) - 1;
+  Isa.Exec.write_mem st Isa.Instr.Io 0 ((7 * 64) - 1);
   ignore (Isa.Exec.run program st);
   Printf.printf "Reference execution with dividend %d: quotient r3 = %d\n"
     ((7 * 64) - 1)

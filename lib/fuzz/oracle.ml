@@ -186,7 +186,11 @@ let sim_run ~(interp : interp) ~mode ~shape ~(g_of : int -> Generator.t) cfg
               <> (r.Sim.Machine.l1i_hits, r.Sim.Machine.l1i_misses,
                   r.Sim.Machine.l1d_hits, r.Sim.Machine.l1d_misses)
             then Some "L1 hit/miss counters differ"
-            else if b.Sim.Machine.final_state <> r.Sim.Machine.final_state then
+            else if
+              not
+                (Option.equal Isa.Exec.equal_state b.Sim.Machine.final_state
+                   r.Sim.Machine.final_state)
+            then
               Some "final architectural state differs"
             else None
           in

@@ -8,11 +8,17 @@ type event =
   | Ev_ret
   | Ev_nop
 
+(* A memory of [size] words that grows on first write: [words] holds a
+   prefix of the space and every in-range word past it reads 0.  A
+   program that touches a few words of a 4096-word space pays for a few
+   words, not the whole space. *)
+type mem = { size : int; mutable words : int array }
+
 type state = {
   regs : int array;
-  data : int array;
-  stack : int array;
-  io : int array;
+  data : mem;
+  stack : mem;
+  io : mem;
   mutable pc : int;
   mutable call_stack : int list;
   mutable steps : int;
@@ -22,13 +28,15 @@ exception Fault of string
 
 let fault fmt = Printf.ksprintf (fun m -> raise (Fault m)) fmt
 
+let mem size = { size; words = [||] }
+
 let init ?(data_words = 4096) ?(stack_words = 1024) ?(io_words = 64) program
     =
   {
     regs = Array.make Instr.num_regs 0;
-    data = Array.make data_words 0;
-    stack = Array.make stack_words 0;
-    io = Array.make io_words 0;
+    data = mem data_words;
+    stack = mem stack_words;
+    io = mem io_words;
     pc = program.Program.entry;
     call_stack = [];
     steps = 0;
@@ -61,22 +69,50 @@ let range_fault ~store space idx =
     (Instr.space_to_string space) idx
 
 let read_mem state space idx =
-  let mem = space_mem state space in
-  if idx < 0 || idx >= Array.length mem then
-    range_fault ~store:false space idx
-  else mem.(idx)
+  let m = space_mem state space in
+  if idx < 0 || idx >= m.size then range_fault ~store:false space idx
+  else if idx < Array.length m.words then m.words.(idx)
+  else 0
+
+(* Grow [m] to hold [idx]: the next power of two above it, at least 64
+   words and at most the space's size. *)
+let grow m idx =
+  let cap = ref 64 in
+  while !cap <= idx do
+    cap := 2 * !cap
+  done;
+  let words = Array.make (min !cap m.size) 0 in
+  Array.blit m.words 0 words 0 (Array.length m.words);
+  m.words <- words
 
 let write_mem state space idx v =
-  let mem = space_mem state space in
-  if idx < 0 || idx >= Array.length mem then
-    range_fault ~store:true space idx
-  else mem.(idx) <- v
+  let m = space_mem state space in
+  if idx < 0 || idx >= m.size then range_fault ~store:true space idx
+  else begin
+    if idx >= Array.length m.words then grow m idx;
+    m.words.(idx) <- v
+  end
 
-let in_range state space idx =
-  idx >= 0 && idx < Array.length (space_mem state space)
+let in_range state space idx = idx >= 0 && idx < (space_mem state space).size
 
 let check_index state ~store space idx =
   if not (in_range state space idx) then range_fault ~store space idx
+
+(* Word-wise, with the words past a memory's prefix read as 0: how far a
+   memory grew records which words were written, not what they hold. *)
+let equal_mem a b =
+  let word m i = if i < Array.length m.words then m.words.(i) else 0 in
+  let n = max (Array.length a.words) (Array.length b.words) in
+  let rec go i = i >= n || (word a i = word b i && go (i + 1)) in
+  a.size = b.size && go 0
+
+let equal_state a b =
+  a.pc = b.pc && a.steps = b.steps
+  && a.call_stack = b.call_stack
+  && a.regs = b.regs
+  && equal_mem a.data b.data
+  && equal_mem a.stack b.stack
+  && equal_mem a.io b.io
 
 let set_reg state r v = if r <> 0 then state.regs.(r) <- v
 

@@ -19,11 +19,18 @@ type event =
   | Ev_ret
   | Ev_nop
 
+type mem
+(** One word-addressed memory space.  Every in-range word reads 0 until
+    it is written; the backing array grows on the first write past its
+    end, to the next power of two above the index (at least 64 words, at
+    most the space's size), so a run allocates only what it touches.
+    Read and write it through {!read_mem} and {!write_mem}. *)
+
 type state = {
   regs : int array;
-  data : int array;  (** word-addressed *)
-  stack : int array;
-  io : int array;
+  data : mem;
+  stack : mem;
+  io : mem;
   mutable pc : int;  (** instruction index; [-1] once halted *)
   mutable call_stack : int list;  (** return instruction indices *)
   mutable steps : int;
@@ -81,3 +88,10 @@ val check_index : state -> store:bool -> Instr.space -> int -> unit
     (without) raises at an out-of-range index, and returns otherwise:
     the simulator checks an access before its cache model sees the
     address. *)
+
+val equal_state : state -> state -> bool
+(** Architectural equality: registers, pc, call stack, step count and
+    every word of every memory.  A word stored as 0 equals one never
+    written, however far either memory has grown, so two runs that
+    stored the same words in any order compare equal.  Use this, not
+    [=], to compare states. *)

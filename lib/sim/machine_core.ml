@@ -270,8 +270,8 @@ let init_core cfg l2_for i (setup : core_setup) =
         setup.init_regs;
       List.iter
         (fun (a, v) ->
-          if a >= 0 && a < Array.length exec.Isa.Exec.data then
-            exec.Isa.Exec.data.(a) <- v)
+          if Isa.Exec.in_range exec Isa.Instr.Data a then
+            Isa.Exec.write_mem exec Isa.Instr.Data a v)
         setup.init_data;
       let l2 = l2_for i in
       (match l2 with

@@ -554,6 +554,47 @@ let dispatch_group cfg bus core ~guarded =
   go true group_budget;
   recompute_prefix core
 
+(* The work-queue arrays, sized for the worst case of one dispatch
+   group: 6 slots per uop (fetch lookup + fetch tx + compute + stall +
+   data lookup + data tx) plus the entry function load.  At 3,492 words
+   a set is too large for the minor heap, and allocating one per core
+   per run would let the runs' set-up pace the major GC.  Sets are
+   reused through a per-domain free list instead: a run takes one per
+   active core and gives them back when it ends, faulting or not.  The
+   systhreads of a domain share its list, so taking and giving back are
+   compare-and-set loops and two concurrent runs never hold the same
+   set.  A reused set needs no clearing: every slot is written between
+   a reset and the first read of it. *)
+type queues = {
+  cat : int array;
+  arg : int array;
+  vec : int array;
+  loc : int array;
+  ret : int array;
+}
+
+let queue_cap = (group_budget * 6) + 4
+
+let free_queues : queues list Atomic.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Atomic.make [])
+
+let rec take_queues free =
+  match Atomic.get free with
+  | [] ->
+      {
+        cat = Array.make queue_cap 0;
+        arg = Array.make queue_cap 0;
+        vec = Array.make (queue_cap * ncats) 0;
+        loc = Array.make queue_cap 0;
+        ret = Array.make queue_cap 0;
+      }
+  | q :: rest as l ->
+      if Atomic.compare_and_set free l rest then q else take_queues free
+
+let rec give_back free q =
+  let l = Atomic.get free in
+  if not (Atomic.compare_and_set free l (q :: l)) then give_back free q
+
 let reset_queue core =
   core.q_head <- 0;
   core.q_tail <- 0;
@@ -670,7 +711,8 @@ let bulk_core bus k = function
         c.local_prefix <- c.local_prefix - k
       end)
 
-let run cfg ~cores ?(max_cycles = 10_000_000) () =
+(* [take ()] hands out one queue set per active core. *)
+let simulate cfg ~cores ~max_cycles ~take =
   let n = Array.length cores in
   let bus = Bus.create cfg.arbiter in
   let l2_for = make_l2s cfg n in
@@ -701,20 +743,17 @@ let run cfg ~cores ?(max_cycles = 10_000_000) () =
         | None -> None
         | Some ci ->
             let dec = decode_cached cfg ci.ci_program in
-            (* Worst case: 6 slots per uop (fetch lookup + fetch tx +
-               compute + stall + data lookup + data tx) plus the entry
-               function load. *)
-            let cap = (group_budget * 6) + 4 in
+            let q = take () in
             let core =
               {
                 id = i;
                 ci;
                 dec;
-                q_cat = Array.make cap 0;
-                q_arg = Array.make cap 0;
-                q_vec = Array.make (cap * ncats) 0;
-                q_loc = Array.make cap 0;
-                q_ret = Array.make cap 0;
+                q_cat = q.cat;
+                q_arg = q.arg;
+                q_vec = q.vec;
+                q_loc = q.loc;
+                q_ret = q.ret;
                 q_head = 0;
                 q_tail = 0;
                 q_has_tx = false;
@@ -886,3 +925,15 @@ let run cfg ~cores ?(max_cycles = 10_000_000) () =
             ~bus_stall_cycles:c.bus_stall_cycles ~attrib:c.attrib
             ~block_attrib:c.block_attrib)
     states
+
+let run cfg ~cores ?(max_cycles = 10_000_000) () =
+  let free = Domain.DLS.get free_queues in
+  let held = ref [] in
+  let take () =
+    let q = take_queues free in
+    held := q :: !held;
+    q
+  in
+  Fun.protect
+    ~finally:(fun () -> List.iter (give_back free) !held)
+    (fun () -> simulate cfg ~cores ~max_cycles ~take)

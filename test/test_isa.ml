@@ -183,7 +183,7 @@ main:
   in
   Alcotest.(check int) "data store/load" 17 st.Isa.Exec.regs.(3);
   Alcotest.(check int) "stack store/load" 9 st.Isa.Exec.regs.(5);
-  Alcotest.(check int) "data mem" 17 st.Isa.Exec.data.(8)
+  Alcotest.(check int) "data mem" 17 (Isa.Exec.read_mem st Isa.Instr.Data 8)
 
 let test_exec_call_ret () =
   let _, st =
@@ -308,6 +308,140 @@ let prop_sum_loop =
       let steps = Isa.Exec.run p st in
       st.Isa.Exec.regs.(2) = n * (n + 1) / 2 && steps = 2 + (3 * n) + 1)
 
+(* Property: the grow-on-write memories behave as flat zero-filled
+   arrays of their spaces' sizes — values, faults and range answers —
+   and [equal_state] sees only the words, not how far a memory grew. *)
+type mem_op =
+  | Op_load of Isa.Instr.space * int
+  | Op_store of Isa.Instr.space * int * int
+  | Op_check of bool * Isa.Instr.space * int  (** [store]? *)
+  | Op_in_range of Isa.Instr.space * int
+
+let spaces = [ Isa.Instr.Data; Isa.Instr.Stack; Isa.Instr.Io ]
+
+let space_rank = function
+  | Isa.Instr.Data -> 0
+  | Isa.Instr.Stack -> 1
+  | Isa.Instr.Io -> 2
+
+let show_mem_op op =
+  let sp = Isa.Instr.space_to_string in
+  match op with
+  | Op_load (s, i) -> Printf.sprintf "ld.%s %d" (sp s) i
+  | Op_store (s, i, v) -> Printf.sprintf "st.%s %d <- %d" (sp s) i v
+  | Op_check (store, s, i) -> Printf.sprintf "check.%s %d %b" (sp s) i store
+  | Op_in_range (s, i) -> Printf.sprintf "in_range.%s %d" (sp s) i
+
+(* Space sizes (the defaults or small ones that are not powers of two)
+   and an access sequence over indices -1, 0, size-1, size and random
+   in-range ones. *)
+let arb_mem_case =
+  let open QCheck.Gen in
+  let size default = oneof [ return default; int_range 1 200 ] in
+  let* sizes = triple (size 4096) (size 1024) (size 64) in
+  let d, s, io = sizes in
+  let op =
+    let* sp = oneofl spaces in
+    let n = [| d; s; io |].(space_rank sp) in
+    let* i = oneof [ oneofl [ -1; 0; n - 1; n ]; int_range 0 (n - 1) ] in
+    let* v = oneof [ return 0; int_range (-9) 99 ] in
+    let* store = bool in
+    oneofl
+      [ Op_load (sp, i); Op_store (sp, i, v); Op_check (store, sp, i);
+        Op_in_range (sp, i) ]
+  in
+  pair (return sizes) (list_size (int_range 0 60) op)
+
+let prop_memory_model =
+  QCheck.Test.make ~name:"grow-on-write memory matches a flat array"
+    ~count:300
+    (QCheck.make
+       ~print:(fun ((d, s, io), ops) ->
+         Printf.sprintf "sizes %d/%d/%d: %s" d s io
+           (String.concat "; " (List.map show_mem_op ops)))
+       arb_mem_case)
+    (fun ((d, s, io), ops) ->
+      let p = parse "main:\n  halt\n" in
+      let fresh () =
+        Isa.Exec.init ~data_words:d ~stack_words:s ~io_words:io p
+      in
+      let st = fresh () in
+      let model = [| Array.make d 0; Array.make s 0; Array.make io 0 |] in
+      let words sp = model.(space_rank sp) in
+      let in_model sp i = i >= 0 && i < Array.length (words sp) in
+      (* One access, through the memory and through the model. *)
+      let agrees ~store sp i f model_f =
+        let fault =
+          Printf.sprintf "%s %s[%d] out of range"
+            (if store then "store" else "load")
+            (Isa.Instr.space_to_string sp) i
+        in
+        (match f () with v -> Ok v | exception Isa.Exec.Fault m -> Error m)
+        = if in_model sp i then Ok (model_f ()) else Error fault
+      in
+      let run = function
+        | Op_load (sp, i) ->
+            agrees ~store:false sp i
+              (fun () -> Isa.Exec.read_mem st sp i)
+              (fun () -> (words sp).(i))
+        | Op_store (sp, i, v) ->
+            agrees ~store:true sp i
+              (fun () -> Isa.Exec.write_mem st sp i v)
+              (fun () -> (words sp).(i) <- v)
+        | Op_check (store, sp, i) ->
+            agrees ~store sp i
+              (fun () -> Isa.Exec.check_index st ~store sp i)
+              ignore
+        | Op_in_range (sp, i) -> Isa.Exec.in_range st sp i = in_model sp i
+      in
+      let agree = List.for_all run ops in
+      let every_word sp =
+        let m = words sp in
+        let rec go i =
+          i >= Array.length m
+          || (Isa.Exec.read_mem st sp i = m.(i) && go (i + 1))
+        in
+        go 0
+      in
+      (* The last value stored at each word, replayed into fresh states
+         in reverse order. *)
+      let stored =
+        List.fold_left
+          (fun acc op ->
+            match op with
+            | Op_store (sp, i, v) when in_model sp i ->
+                (sp, i, v)
+                :: List.filter (fun (sp', i', _) -> (sp', i') <> (sp, i)) acc
+            | _ -> acc)
+          [] ops
+      in
+      let replay () =
+        let r = fresh () in
+        List.iter (fun (sp, i, v) -> Isa.Exec.write_mem r sp i v) stored;
+        r
+      in
+      (* A 0 stored at the top of every space whose top word holds 0
+         grows that memory to its full size and changes no word... *)
+      let zeroed = replay () in
+      List.iter
+        (fun sp ->
+          let n = Array.length (words sp) in
+          if (words sp).(n - 1) = 0 then
+            Isa.Exec.write_mem zeroed sp (n - 1) 0)
+        spaces;
+      (* ... while a changed word must be seen. *)
+      let changed = replay () in
+      Isa.Exec.write_mem changed Isa.Instr.Data 0
+        ((words Isa.Instr.Data).(0) + 1);
+      let all_zero = List.for_all (fun (_, _, v) -> v = 0) stored in
+      agree
+      && List.for_all every_word spaces
+      && Isa.Exec.equal_state st (replay ())
+      && Isa.Exec.equal_state st zeroed
+      && Isa.Exec.equal_state zeroed st
+      && Isa.Exec.equal_state st (fresh ()) = all_zero
+      && not (Isa.Exec.equal_state st changed))
+
 let () =
   Alcotest.run "isa"
     [
@@ -341,5 +475,5 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_asm_roundtrip; prop_sum_loop ] );
+          [ prop_asm_roundtrip; prop_sum_loop; prop_memory_model ] );
     ]

@@ -821,6 +821,107 @@ let prop_block_matches_reference =
         diff_configs;
       true)
 
+(* ------------------------------------------------------------------ *)
+(* Set-up cost: memories and work queues                               *)
+(* ------------------------------------------------------------------ *)
+
+(* Words [f] allocates directly in the major heap — blocks too large for
+   the minor heap, not promotions. *)
+let direct_major_words f =
+  Gc.minor ();
+  let _, promoted0, major0 = Gc.counters () in
+  f ();
+  Gc.minor ();
+  let _, promoted1, major1 = Gc.counters () in
+  major1 -. promoted1 -. (major0 -. promoted0)
+
+let two_core_l2 =
+  base_config ~l2:(Sim.Machine.Shared_l2 l2_cfg)
+    ~arbiter:(Interconnect.Arbiter.Round_robin { cores = 2 })
+    ()
+
+let run_on_two_cores cfg (setup : Sim.Machine.core_setup) =
+  Sim.Machine.run cfg ~cores:[| setup; setup |] ()
+
+(* Result equality with final states compared word-wise. *)
+let same_results a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun (x : Sim.Machine.core_result) (y : Sim.Machine.core_result) ->
+         { x with final_state = None } = { y with final_state = None }
+         && Option.equal Isa.Exec.equal_state x.final_state y.final_state)
+       a b
+
+let looping_task =
+  Sim.Machine.task
+    (parse
+       "main:\n  li r1, 20\nloop:\n  st.d r1, 0(r1)\n  ld.d r2, 0(r1)\n\
+       \  st.s r2, 0(r1)\n  subi r1, r1, 1\n  bne r1, r0, loop\n  halt\n")
+
+(* A warm run allocates nothing large enough for the major heap: its
+   memories hold only the words it writes, and its work queues come
+   from its domain's free list. *)
+let test_warm_runs_skip_major_heap () =
+  let run () = ignore (run_on_two_cores two_core_l2 looping_task) in
+  run ();
+  for i = 1 to 100 do
+    let w = direct_major_words run in
+    if w >= 100. then
+      Alcotest.failf "run %d allocated %.0f words directly in the major heap"
+        i w
+  done
+
+(* A faulting run gives its work queues back: the next run reuses them
+   and gets the result a fresh run got. *)
+let test_fault_returns_queues () =
+  let first = run_on_two_cores two_core_l2 looping_task in
+  let bad = parse "main:\n  li r1, -300000\n  ld.d r2, 0(r1)\n  halt\n" in
+  Alcotest.check_raises "faults"
+    (Isa.Exec.Fault "load d[-300000] out of range") (fun () ->
+      ignore (run_on_two_cores two_core_l2 (Sim.Machine.task bad)));
+  let second = ref [||] in
+  let w =
+    direct_major_words (fun () ->
+        second := run_on_two_cores two_core_l2 looping_task)
+  in
+  Alcotest.(check bool) "same result" true (same_results first !second);
+  Alcotest.(check bool) "queues reused" true (w < 100.)
+
+(* Two systhreads of one domain share its free list of work queues but
+   never one queue: each thread's runs equal a sequential run.  The
+   bypass predicate, which a run consults on every L2 access, yields to
+   the other thread, so each run is interrupted by the other's. *)
+let test_systhreads_get_own_queues () =
+  let run ?(l2_bypass = fun _ -> false) (g : Fuzz.Generator.t) =
+    run_on_two_cores two_core_l2
+      {
+        (Sim.Machine.task g.Fuzz.Generator.program) with
+        Sim.Machine.init_data = g.Fuzz.Generator.data_init;
+        l2_bypass;
+      }
+  in
+  let gs =
+    Array.init 2 (fun index -> Fuzz.Generator.generate ~seed:5 ~index ())
+  in
+  let expected = Array.map run gs in
+  let mismatches = Atomic.make 0 in
+  let threads =
+    Array.mapi
+      (fun i g ->
+        Thread.create
+          (fun () ->
+            for _ = 1 to 50 do
+              match run ~l2_bypass:(fun _ -> Thread.yield (); false) g with
+              | r when same_results r expected.(i) -> ()
+              | _ | (exception _) -> Atomic.incr mismatches
+            done)
+          ())
+      gs
+  in
+  Array.iter Thread.join threads;
+  Alcotest.(check int) "runs differing from sequential" 0
+    (Atomic.get mismatches)
+
 let () =
   Alcotest.run "sim"
     [
@@ -877,6 +978,15 @@ let () =
             test_bus_fcfs_requeue_goes_to_back;
           Alcotest.test_case "refresh-boundary interp agreement" `Quick
             test_refresh_boundary_simultaneous_requests;
+        ] );
+      ( "set-up",
+        [
+          Alcotest.test_case "warm runs skip the major heap" `Quick
+            test_warm_runs_skip_major_heap;
+          Alcotest.test_case "faulting run returns its queues" `Quick
+            test_fault_returns_queues;
+          Alcotest.test_case "systhreads get their own queues" `Quick
+            test_systhreads_get_own_queues;
         ] );
       ( "smt",
         [

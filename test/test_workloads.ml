@@ -5,7 +5,7 @@ module B = Workloads.Bench_programs
 
 let run_to_halt ?(io = []) (b : B.t) =
   let st = Isa.Exec.init b.B.program in
-  List.iter (fun (i, v) -> st.Isa.Exec.io.(i) <- v) io;
+  List.iter (fun (i, v) -> Isa.Exec.write_mem st Isa.Instr.Io i v) io;
   let steps = Isa.Exec.run b.B.program st in
   (st, steps)
 
@@ -33,7 +33,7 @@ let test_memcpy_copies () =
   let st, _ = run_to_halt (B.memcpy ~n:8) in
   let ok = ref true in
   for i = 0 to 7 do
-    if st.Isa.Exec.data.(8 + i) <> 3 * i then ok := false
+    if Isa.Exec.read_mem st Isa.Instr.Data (8 + i) <> 3 * i then ok := false
   done;
   Alcotest.(check bool) "copied words" true !ok
 
@@ -46,14 +46,15 @@ let test_matmul_value () =
     let rec go k acc = if k >= n then acc else go (k + 1) (acc + (a 0 k * b k 0)) in
     go 0 0
   in
-  Alcotest.(check int) "C[0][0]" expected st.Isa.Exec.data.(2 * n * n)
+  Alcotest.(check int) "C[0][0]" expected (Isa.Exec.read_mem st Isa.Instr.Data (2 * n * n))
 
 let test_bubble_sort_sorts () =
   let n = 8 in
   let st, _ = run_to_halt (B.bubble_sort ~n) in
   let sorted = ref true in
   for i = 0 to n - 2 do
-    if st.Isa.Exec.data.(i) > st.Isa.Exec.data.(i + 1) then sorted := false
+    let word = Isa.Exec.read_mem st Isa.Instr.Data in
+    if word i > word (i + 1) then sorted := false
   done;
   Alcotest.(check bool) "array sorted" true !sorted
 
