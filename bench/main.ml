@@ -35,13 +35,13 @@ let check_sound ~bound ~observed =
   Atomic.incr soundness_checks;
   if observed > bound then Atomic.incr soundness_failures
 
-(* Shared memoizing result cache and phase telemetry: experiments repeat
-   many (program, annotations, platform) points — T2's four identical
-   tasks, F1's sweep rows, T12's conventional platform equal to T1's —
-   and the cache serves the repeats.  T10 and the bechamel rows time the
-   *cost* of analysis, so they keep calling the raw entry points. *)
+(* Shared memoizing result cache: experiments repeat many (program,
+   annotations, platform) points — T2's four identical tasks, F1's sweep
+   rows, T12's conventional platform equal to T1's — and the cache serves
+   the repeats.  T10 and the bechamel rows time the *cost* of analysis,
+   so they keep calling the raw entry points (and the run installs no
+   trace sink, which would time them traced). *)
 let memo = Core.Memo.create ~capacity:512 ()
-let telemetry = Engine.Telemetry.create ()
 
 let rule width = print_endline (String.make width '-')
 
@@ -91,7 +91,7 @@ let t1 () =
   rule 56;
   List.iter
     (fun (b : B.t) ->
-      let a = Core.Memo.wcet memo ~annot:b.B.annot ~telemetry platform b.B.program in
+      let a = Core.Memo.wcet memo ~annot:b.B.annot platform b.B.program in
       let r = (Sim.Machine.run sim_cfg ~cores:[| Sim.Machine.task b.B.program |] ()).(0) in
       check_sound ~bound:a.Core.Wcet.wcet ~observed:r.Sim.Machine.cycles;
       printf "%-14s %8d %10d %10d %8.2f%s\n" b.B.name
@@ -227,8 +227,8 @@ let t4 () =
       Array.iter
         (fun (b : B.t) ->
           let wc slice =
-            (Core.Memo.wcet memo ~annot:b.B.annot ~telemetry
-               (base_platform slice core) b.B.program)
+            (Core.Memo.wcet memo ~annot:b.B.annot (base_platform slice core)
+               b.B.program)
               .Core.Wcet.wcet
           in
           let cb = wc core_slice and tb = wc task_slice in
@@ -547,7 +547,7 @@ let t11 () =
   List.iter
     (fun (b : B.t) ->
       let wc p =
-        (Core.Memo.wcet memo ~annot:b.B.annot ~telemetry p b.B.program)
+        (Core.Memo.wcet memo ~annot:b.B.annot p b.B.program)
           .Core.Wcet.wcet
       in
       let f = wc flat and c = wc clustered in
@@ -579,7 +579,7 @@ let t12 () =
   List.iter
     (fun (b : B.t) ->
       let conv_a =
-        Core.Memo.wcet memo ~annot:b.B.annot ~telemetry conventional b.B.program
+        Core.Memo.wcet memo ~annot:b.B.annot conventional b.B.program
       in
       let conv_r =
         (Sim.Machine.run
@@ -587,7 +587,7 @@ let t12 () =
            ~cores:[| Sim.Machine.task b.B.program |] ()).(0)
       in
       let mc_a =
-        Core.Memo.wcet memo ~annot:b.B.annot ~telemetry methodp b.B.program
+        Core.Memo.wcet memo ~annot:b.B.annot methodp b.B.program
       in
       let mc_r =
         (Sim.Machine.run
@@ -773,7 +773,7 @@ let f2 () =
           l2 = Core.Platform.Private_l2 slice;
         }
       in
-      let a = Core.Memo.wcet memo ~annot:b.B.annot ~telemetry platform b.B.program in
+      let a = Core.Memo.wcet memo ~annot:b.B.annot platform b.B.program in
       let infos =
         List.concat_map
           (fun (_, m) -> Cache.Multilevel.access_infos m)
@@ -839,13 +839,11 @@ let f3 () =
       in
       let analytic =
         let w =
-          (Core.Memo.wcet memo ~annot:b.B.annot ~telemetry analytic_platform
-             b.B.program)
+          (Core.Memo.wcet memo ~annot:b.B.annot analytic_platform b.B.program)
             .Core.Wcet.wcet
         in
         let bc =
-          (Core.Memo.bcet memo ~annot:b.B.annot ~telemetry analytic_platform
-             b.B.program)
+          (Core.Memo.bcet memo ~annot:b.B.annot analytic_platform b.B.program)
             .Core.Bcet.bcet
         in
         Core.Bcet.analytic_quotient ~bcet:bc ~wcet:w
@@ -991,7 +989,7 @@ let () =
       Printf.eprintf "unknown experiment; try --list\n";
       exit 1
     end;
-    let t0 = Engine.Telemetry.now_ns () in
+    let t0 = Obs.now_ns () in
     (* One pool job per experiment; each job collects its output in the
        worker's domain-local buffer and returns it, together with the
        result-cache traffic it generated. *)
@@ -1028,13 +1026,12 @@ let () =
       bechamel_suite ();
       Stdlib.print_string (Buffer.contents (out ()))
     end;
-    let wall_ns = Int64.sub (Engine.Telemetry.now_ns ()) t0 in
+    let wall_ns = Int64.sub (Obs.now_ns ()) t0 in
     Stdlib.Printf.printf "\n==== engine: %d workers, wall %.1f ms ====\n"
       workers
       (Int64.to_float wall_ns /. 1e6);
     Format.printf "result cache: %a@." Engine.Lru.pp_stats
       (Core.Memo.stats memo);
-    Stdlib.print_string (Engine.Telemetry.render telemetry);
     Stdlib.Printf.printf
       "\n==== soundness summary: %d checks, %d violations ====\n"
       (Atomic.get soundness_checks)

@@ -59,27 +59,27 @@ let write_file path contents =
       close_out oc
 
 (* [--trace FILE] / [--trace-csv FILE] support shared by batch and fuzz:
-   install a sink before the run, return the finisher that exports and
+   install a sink before the run (also when [on]: batch's phase table
+   reads the same sink), return the finisher that exports and
    uninstalls.  The finisher is called before any [exit], not from a
    [Fun.protect] — [exit] does not unwind the stack. *)
-let start_trace ?(csv = None) json =
-  match (json, csv) with
-  | None, None -> fun () -> ()
-  | _ ->
-      let sink = Obs.Sink.create () in
-      Obs.set_sink (Some sink);
-      fun () ->
-        Obs.set_sink None;
-        Option.iter
-          (fun path ->
-            write_file path (Obs.Trace_export.to_json sink);
-            Printf.eprintf "paratime: trace written to %s\n%!" path)
-          json;
-        Option.iter
-          (fun path ->
-            write_file path (Obs.Csv_export.to_csv sink);
-            Printf.eprintf "paratime: trace CSV written to %s\n%!" path)
-          csv
+let start_trace ?(on = false) ?(csv = None) json =
+  if (not on) && json = None && csv = None then fun () -> ()
+  else
+    let sink = Obs.Sink.create () in
+    Obs.set_sink (Some sink);
+    fun () ->
+      Obs.set_sink None;
+      Option.iter
+        (fun path ->
+          write_file path (Obs.Trace_export.to_json sink);
+          Printf.eprintf "paratime: trace written to %s\n%!" path)
+        json;
+      Option.iter
+        (fun path ->
+          write_file path (Obs.Csv_export.to_csv sink);
+          Printf.eprintf "paratime: trace CSV written to %s\n%!" path)
+        csv
 
 let arbiter_of cores kind =
   match kind with
@@ -470,7 +470,6 @@ let batch_cmd =
         (List.length sources) (List.length configs);
     let tasks = List.map (fun s -> (s, load s)) sources in
     let memo = Core.Memo.create ?capacity () in
-    let telemetry = Engine.Telemetry.create () in
     let points =
       (* repeat-major order so later rounds demonstrably hit the cache *)
       List.concat_map
@@ -491,31 +490,29 @@ let batch_cmd =
             (fun ctx ->
               Engine.Pool.check ctx;
               let h0, l0 = Core.Memo.local_stats () in
-              let t0 = Engine.Telemetry.now_ns () in
+              let t0 = Obs.now_ns () in
               (* one mode-invariant front end serves both bound sides;
                  lazy so a double cache hit never builds it *)
               let actx =
                 lazy (Core.Context.of_platform ~annot platform program)
               in
               let w =
-                Core.Memo.wcet memo ~annot ~telemetry
+                Core.Memo.wcet memo ~annot
                   ~compute:(fun () ->
-                    Core.Wcet.analyze_with ~telemetry ~ctx:(Lazy.force actx)
-                      platform)
+                    Core.Wcet.analyze_with ~ctx:(Lazy.force actx) platform)
                   platform program
               in
               let b =
                 match
-                  Core.Memo.bcet memo ~annot ~telemetry
+                  Core.Memo.bcet memo ~annot
                     ~compute:(fun () ->
-                      Core.Bcet.analyze_with ~telemetry ~ctx:(Lazy.force actx)
-                        platform)
+                      Core.Bcet.analyze_with ~ctx:(Lazy.force actx) platform)
                     platform program
                 with
                 | b -> Some b.Core.Bcet.bcet
                 | exception Core.Wcet.Not_analysable _ -> None
               in
-              let job_ns = Int64.sub (Engine.Telemetry.now_ns ()) t0 in
+              let job_ns = Int64.sub (Obs.now_ns ()) t0 in
               let h1, l1 = Core.Memo.local_stats () in
               {
                 wcet = w.Core.Wcet.wcet;
@@ -545,13 +542,13 @@ let batch_cmd =
     (* Header up front, rows at the end: a run killed mid-way leaves a
        parseable (if row-less) CSV instead of an empty file. *)
     if csv then begin
-      print_string Engine.Telemetry.csv_header;
+      print_string Obs.Summary.csv_header;
       flush stdout
     end;
-    let trace_finish = start_trace ~csv:trace_csv trace in
-    let t0 = Engine.Telemetry.now_ns () in
+    let trace_finish = start_trace ~on:(phases || csv) ~csv:trace_csv trace in
+    let t0 = Obs.now_ns () in
     let outcomes = Engine.Pool.run ~workers ?timeout_ns jobs in
-    let wall_ns = Int64.sub (Engine.Telemetry.now_ns ()) t0 in
+    let wall_ns = Int64.sub (Obs.now_ns ()) t0 in
     Printf.printf "%-18s %-6s %3s %10s %10s %9s %6s\n" "source" "config" "rep"
       "wcet" "bcet" "ms" "cache";
     let failures = ref 0 in
@@ -598,8 +595,12 @@ let batch_cmd =
           | _ -> ())
         points outcomes
     end;
-    if phases then print_string (Engine.Telemetry.render telemetry);
-    if csv then print_string (Engine.Telemetry.csv_rows telemetry);
+    (match Obs.sink () with
+    | Some sink when phases || csv ->
+        let summary = Obs.Summary.of_sink sink in
+        if phases then print_string (Obs.Summary.render summary);
+        if csv then print_string (Obs.Summary.csv_rows summary)
+    | _ -> ());
     flush stdout;
     trace_finish ();
     if !failures > 0 then exit 1
@@ -647,10 +648,16 @@ let batch_cmd =
   let phases =
     Arg.(
       value & flag
-      & info [ "phases" ] ~doc:"Print the per-phase telemetry breakdown.")
+      & info [ "phases" ]
+          ~doc:
+            "Trace the run and print the time and calls of each analysis \
+             phase, then the trace's work counters.")
   in
   let csv =
-    Arg.(value & flag & info [ "csv" ] ~doc:"Print telemetry as CSV rows.")
+    Arg.(
+      value & flag
+      & info [ "csv" ]
+          ~doc:"Trace the run and print the phase table as CSV rows.")
   in
   let attrib =
     Arg.(
@@ -732,7 +739,7 @@ let fuzz_cmd =
       flush stdout
     end;
     let trace_finish = start_trace trace in
-    let t0 = Engine.Telemetry.now_ns () in
+    let t0 = Obs.now_ns () in
     let c =
       match
         Fuzz.Oracle.run_campaign ~modes ~cores ?workers ?timeout_ns ~memo
@@ -741,7 +748,7 @@ let fuzz_cmd =
       | c -> c
       | exception Invalid_argument msg -> die "%s" msg
     in
-    let wall_ns = Int64.sub (Engine.Telemetry.now_ns ()) t0 in
+    let wall_ns = Int64.sub (Obs.now_ns ()) t0 in
     let r = c.Fuzz.Oracle.report in
     if csv then print_string (Fuzz.Oracle.csv_rows r)
     else begin

@@ -147,8 +147,8 @@ let entry_acs config entry kind =
 
 (* Per-domain monotone sweep counter shared by every cache fixpoint in
    this library (must/may/persistence here, the L2 fixpoints in
-   Multilevel): telemetry reads it before and after the cache phase and
-   charges the difference. *)
+   Multilevel): a reader takes it before and after a piece of work and
+   charges the difference.  The ledger and bench/perf.ml read it. *)
 let fixpoint_iters_key = Domain.DLS.new_key (fun () -> ref 0)
 let fixpoint_iterations () = !(Domain.DLS.get fixpoint_iters_key)
 let count_fixpoint_iteration () = incr (Domain.DLS.get fixpoint_iters_key)

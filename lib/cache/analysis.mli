@@ -103,8 +103,9 @@ val transfer : Acs.t -> access list -> had_call:bool -> Acs.t
 val fixpoint_iterations : unit -> int
 (** Monotone count of abstract-interpretation sweeps (one per pass over
     the CFG of any must/may/persistence/L2 fixpoint) performed *by the
-    calling domain*.  Read before and after an analysis and subtract for
-    telemetry; per-domain storage keeps parallel analyses race-free. *)
+    calling domain*.  Read before and after an analysis and subtract
+    (the ledger and bench/perf.ml do); per-domain storage keeps parallel
+    analyses race-free. *)
 
 val states_before : ('s -> 'a -> 's) -> 's -> 'a list -> 's list
 (** [states_before step input accesses]: the state before each access

@@ -65,13 +65,8 @@ let best_block_vec (lat : Pipeline.Latencies.t) g id =
    IPET systems.  No cache or arbiter state is read — the optimistic
    cost model assumes all-hit — so one context serves BCET alongside
    every WCET mode. *)
-let analyze_with ?telemetry ?(solver = `Sparse) ~ctx (platform : Platform.t) =
+let analyze_with ?(solver = `Sparse) ~ctx (platform : Platform.t) =
   Context.check_compatible ctx platform;
-  let span name f =
-    match telemetry with
-    | None -> Obs.span ~cat:"phase" name f
-    | Some t -> Engine.Telemetry.span t name f
-  in
   let fail fmt =
     Printf.ksprintf (fun s -> raise (Wcet.Not_analysable s)) fmt
   in
@@ -97,7 +92,7 @@ let analyze_with ?telemetry ?(solver = `Sparse) ~ctx (platform : Platform.t) =
             own_vecs
         in
         let ipet =
-          span "ipet-solve" (fun () ->
+          Obs.span ~cat:"phase" "ipet-solve" (fun () ->
               try
                 Ipet.solve_prepared
                   (Lazy.force p.Context.ipet_bcet)
@@ -124,10 +119,10 @@ let analyze_with ?telemetry ?(solver = `Sparse) ~ctx (platform : Platform.t) =
   let root = List.assoc ctx.Context.root procs in
   { program; procs; bcet = root.bcet }
 
-let analyze ?(annot = Dataflow.Annot.empty) ?telemetry ?(solver = `Sparse)
+let analyze ?(annot = Dataflow.Annot.empty) ?(solver = `Sparse)
     (platform : Platform.t) program =
-  let ctx = Context.of_platform ~annot ?telemetry platform program in
-  analyze_with ?telemetry ~solver ~ctx platform
+  let ctx = Context.of_platform ~annot platform program in
+  analyze_with ~solver ~ctx platform
 
 let analytic_quotient ~bcet ~wcet =
   if wcet <= 0 then 1.0

@@ -179,29 +179,12 @@ let multilevel t (p : proc) ~config ?bypass_key
           Hashtbl.add t.multilevel_memo k m;
           m)
 
-(* Telemetry is optional and must cost nothing when absent: [span]
-   accumulates a phase's wall-clock time, [counted] charges the delta of
-   a per-domain monotone counter. *)
-let span telemetry name f =
-  match telemetry with
-  | None -> Obs.span ~cat:"phase" name f
-  | Some t -> Engine.Telemetry.span t name f
-
-let counted telemetry name current f =
-  match telemetry with
-  | None -> f ()
-  | Some t ->
-      let before = current () in
-      let finally () = Engine.Telemetry.add t name (current () - before) in
-      Fun.protect ~finally f
-
 let program_args (program : Isa.Program.t) =
   [ ("program", Obs.Event.Str program.Isa.Program.name) ]
 
-let build_facts ~annot ?telemetry program =
-  let span name f = span telemetry name f in
+let build_facts ~annot program =
   let callgraph =
-    span "cfg-build" (fun () ->
+    Obs.span ~cat:"phase" "cfg-build" (fun () ->
         try Cfg.Callgraph.build program with
         | Cfg.Callgraph.Recursive cycle ->
             fail "recursive call cycle: %s" (String.concat " -> " cycle)
@@ -209,12 +192,13 @@ let build_facts ~annot ?telemetry program =
   in
   let root = callgraph.Cfg.Callgraph.root in
   let clobbers =
-    span "cfg-build" (fun () -> Dataflow.Clobbers.compute callgraph)
+    Obs.span ~cat:"phase" "cfg-build" (fun () ->
+        Dataflow.Clobbers.compute callgraph)
   in
   let call_clobbers = Dataflow.Clobbers.clobbered clobbers in
   let proc_facts (name, g) =
     let dom, loops =
-      span "cfg-loops" (fun () ->
+      Obs.span ~cat:"phase" "cfg-loops" (fun () ->
           let dom = Cfg.Dominators.compute g in
           let loops =
             try Cfg.Loops.analyze g dom
@@ -223,12 +207,11 @@ let build_facts ~annot ?telemetry program =
           (dom, loops))
     in
     let va =
-      span "value-analysis" (fun () ->
-          counted telemetry "worklist-pops" Dataflow.Worklist.pops (fun () ->
-              Dataflow.Value_analysis.analyze ~call_clobbers g))
+      Obs.span ~cat:"phase" "value-analysis" (fun () ->
+          Dataflow.Value_analysis.analyze ~call_clobbers g)
     in
     let loop_bounds =
-      span "loop-bounds" (fun () ->
+      Obs.span ~cat:"phase" "loop-bounds" (fun () ->
           try Dataflow.Loop_bounds.infer ~call_clobbers g dom loops va annot
           with Dataflow.Loop_bounds.Unbounded msg -> fail "%s" msg)
     in
@@ -275,14 +258,13 @@ let build_facts ~annot ?telemetry program =
     proc_facts = List.map proc_facts (Cfg.Callgraph.bottom_up callgraph);
   }
 
-let facts ?(annot = Dataflow.Annot.empty) ?telemetry program =
+let facts ?(annot = Dataflow.Annot.empty) program =
   Obs.span ~cat:"ctx" ~args:(program_args program) "facts.build" (fun () ->
-      build_facts ~annot ?telemetry program)
+      build_facts ~annot program)
 
-let build_geometry ?telemetry (facts : facts) ~l1i ~l1d ?method_cache () =
-  let span name f = span telemetry name f in
+let build_geometry (facts : facts) ~l1i ~l1d ?method_cache () =
   let mc_analysis =
-    span "cache-analysis" (fun () ->
+    Obs.span ~cat:"phase" "cache-analysis" (fun () ->
         Option.map
           (fun mc -> (mc, Cache.Method_cache.analyze facts.callgraph mc))
           method_cache)
@@ -290,24 +272,19 @@ let build_geometry ?telemetry (facts : facts) ~l1i ~l1d ?method_cache () =
   let geometry_proc (name, f) =
     let g = f.f_graph and entry = f.f_entry in
     let l1i_a, l1d_a =
-      span "cache-analysis" (fun () ->
-          counted telemetry "worklist-pops" Dataflow.Worklist.pops @@ fun () ->
-          counted telemetry "cache-transfers" Dataflow.Worklist.transfers
-          @@ fun () ->
-          counted telemetry "cache-fixpoint-iters"
-            Cache.Analysis.fixpoint_iterations (fun () ->
-              let l1i_a =
-                if mc_analysis <> None then None
-                else
-                  Some
-                    (Cache.Analysis.analyze l1i g ~entry
-                       ~accesses:(Cache.Analysis.instruction_accesses l1i g))
-              in
-              let l1d_a =
-                Cache.Analysis.analyze l1d g ~entry
-                  ~accesses:(Cache.Analysis.data_accesses l1d g f.f_va)
-              in
-              (l1i_a, l1d_a)))
+      Obs.span ~cat:"phase" "cache-analysis" (fun () ->
+          let l1i_a =
+            if mc_analysis <> None then None
+            else
+              Some
+                (Cache.Analysis.analyze l1i g ~entry
+                   ~accesses:(Cache.Analysis.instruction_accesses l1i g))
+          in
+          let l1d_a =
+            Cache.Analysis.analyze l1d g ~entry
+              ~accesses:(Cache.Analysis.data_accesses l1d g f.f_va)
+          in
+          (l1i_a, l1d_a))
     in
     ( name,
       {
@@ -340,17 +317,15 @@ let build_geometry ?telemetry (facts : facts) ~l1i ~l1d ?method_cache () =
     multilevel_memo = Hashtbl.create 8;
   }
 
-let of_facts ?telemetry (facts : facts) ~l1i ~l1d ?method_cache () =
+let of_facts (facts : facts) ~l1i ~l1d ?method_cache () =
   Obs.span ~cat:"ctx" ~args:(program_args facts.program) "ctx.build"
-    (fun () -> build_geometry ?telemetry facts ~l1i ~l1d ?method_cache ())
+    (fun () -> build_geometry facts ~l1i ~l1d ?method_cache ())
 
-let build ?annot ?telemetry ~l1i ~l1d ?method_cache program =
-  of_facts ?telemetry (facts ?annot ?telemetry program) ~l1i ~l1d
-    ?method_cache ()
+let build ?annot ~l1i ~l1d ?method_cache program =
+  of_facts (facts ?annot program) ~l1i ~l1d ?method_cache ()
 
-let of_platform ?annot ?telemetry (platform : Platform.t) program =
-  build ?annot ?telemetry ~l1i:platform.Platform.l1i
-    ~l1d:platform.Platform.l1d
+let of_platform ?annot (platform : Platform.t) program =
+  build ?annot ~l1i:platform.Platform.l1i ~l1d:platform.Platform.l1d
     ?method_cache:platform.Platform.method_cache program
 
 (* A context only serves platforms over the geometry it precomputed the

@@ -84,11 +84,7 @@ type t = {
     (string * (int * int * int) * string, Cache.Multilevel.t) Hashtbl.t;
 }
 
-val facts :
-  ?annot:Dataflow.Annot.t ->
-  ?telemetry:Engine.Telemetry.t ->
-  Isa.Program.t ->
-  facts
+val facts : ?annot:Dataflow.Annot.t -> Isa.Program.t -> facts
 (** Compute the program facts.  Emits one balanced [cat:"ctx"] span
     named ["facts.build"] around the [cfg-build], [cfg-loops],
     [value-analysis] and [loop-bounds] phase spans.  The IPET systems,
@@ -98,7 +94,6 @@ val facts :
     loop or a missing loop bound. *)
 
 val of_facts :
-  ?telemetry:Engine.Telemetry.t ->
   facts ->
   l1i:Cache.Config.t ->
   l1d:Cache.Config.t ->
@@ -112,7 +107,6 @@ val of_facts :
 
 val build :
   ?annot:Dataflow.Annot.t ->
-  ?telemetry:Engine.Telemetry.t ->
   l1i:Cache.Config.t ->
   l1d:Cache.Config.t ->
   ?method_cache:Cache.Method_cache.config ->
@@ -123,12 +117,7 @@ val build :
     result.
     @raise Not_analysable exactly where {!Wcet.analyze} would. *)
 
-val of_platform :
-  ?annot:Dataflow.Annot.t ->
-  ?telemetry:Engine.Telemetry.t ->
-  Platform.t ->
-  Isa.Program.t ->
-  t
+val of_platform : ?annot:Dataflow.Annot.t -> Platform.t -> Isa.Program.t -> t
 (** {!build} over the geometry fields of a platform (everything else in
     the platform is mode-specific and ignored). *)
 

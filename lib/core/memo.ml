@@ -1,19 +1,7 @@
-type tier2 = {
-  t2_find : kind:string -> string -> string option;
-  t2_store : kind:string -> string -> string -> unit;
-}
+type packed = Wcet_r of Wcet.t | Bcet_r of Bcet.t
+type t = { lru : (string, packed) Engine.Lru.t }
 
-type t = {
-  lru : (string, packed) Engine.Lru.t;
-  mutable tier2 : tier2 option;
-}
-
-and packed = Wcet_r of Wcet.t | Bcet_r of Bcet.t
-
-let create ?(capacity = 512) () =
-  { lru = Engine.Lru.create ~capacity (); tier2 = None }
-
-let set_tier2 t hook = t.tier2 <- hook
+let create ?(capacity = 512) () = { lru = Engine.Lru.create ~capacity () }
 let stats t = Engine.Lru.stats t.lru
 
 (* Per-domain (hits, lookups) counters, global across all memo tables so a
@@ -90,15 +78,14 @@ let lookup t key =
       r
   | None -> None
 
-let wcet t ?(annot = Dataflow.Annot.empty) ?salt ?telemetry ?compute platform
-    program =
+let wcet t ?(annot = Dataflow.Annot.empty) ?salt ?compute platform program =
   (* [compute] overrides the miss path (e.g. a context-based back end);
      its result must be bit-identical to the fresh analysis — the memo
      key cannot tell them apart, by design. *)
   let analyze () =
     match compute with
     | Some f -> f ()
-    | None -> Wcet.analyze ~annot ?telemetry platform program
+    | None -> Wcet.analyze ~annot platform program
   in
   match key ~kind:"wcet" ~annot ~salt platform program with
   | None -> analyze ()
@@ -110,65 +97,11 @@ let wcet t ?(annot = Dataflow.Annot.empty) ?salt ?telemetry ?compute platform
           Engine.Lru.put t.lru k (Wcet_r r);
           r)
 
-(* Blob-level entry points: the result crosses the API as an encoded
-   string, which is what lets the *second level* serve a hit without
-   being able to rebuild a full (closure-carrying) analysis result.  The
-   caller's [encode] must be canonical (equal results -> equal bytes);
-   with that, a tier-2 hit is bit-identical to re-encoding the cold
-   result it was written from. *)
-let encoded_of t ~kind ~encode ~analyze ~pack ~unpack key =
-  match key with
-  | None -> encode (analyze ())
-  | Some k -> (
-      let compute_and_store () =
-        let r = analyze () in
-        Engine.Lru.put t.lru k (pack r);
-        let blob = encode r in
-        (match t.tier2 with
-        | Some h ->
-            h.t2_store ~kind k blob;
-            Obs.add "memo.tier2_store" 1
-        | None -> ());
-        blob
-      in
-      match Option.bind (lookup t k) unpack with
-      | Some r -> encode r
-      | None -> (
-          match t.tier2 with
-          | None -> compute_and_store ()
-          | Some h -> (
-              match h.t2_find ~kind k with
-              | Some blob ->
-                  (* a second-level hit spares the analysis: count it as
-                     a hit for the calling domain's job accounting *)
-                  let hits, _ = Domain.DLS.get local_key in
-                  incr hits;
-                  Obs.add "memo.tier2_hit" 1;
-                  blob
-              | None -> compute_and_store ())))
-
-let wcet_encoded t ~encode ?(annot = Dataflow.Annot.empty) ?salt ?telemetry
-    platform program =
-  encoded_of t ~kind:"wcet" ~encode
-    ~analyze:(fun () -> Wcet.analyze ~annot ?telemetry platform program)
-    ~pack:(fun r -> Wcet_r r)
-    ~unpack:(function Wcet_r r -> Some r | Bcet_r _ -> None)
-    (key ~kind:"wcet" ~annot ~salt platform program)
-
-let bcet_encoded t ~encode ?(annot = Dataflow.Annot.empty) ?salt ?telemetry
-    platform program =
-  encoded_of t ~kind:"bcet" ~encode
-    ~analyze:(fun () -> Bcet.analyze ~annot ?telemetry platform program)
-    ~pack:(fun r -> Bcet_r r)
-    ~unpack:(function Bcet_r r -> Some r | Wcet_r _ -> None)
-    (key ~kind:"bcet" ~annot ~salt platform program)
-
-let bcet t ?(annot = Dataflow.Annot.empty) ?salt ?telemetry ?compute platform
-    program =
+let bcet t ?(annot = Dataflow.Annot.empty) ?salt ?compute platform program =
   let analyze () =
     match compute with
     | Some f -> f ()
-    | None -> Bcet.analyze ~annot ?telemetry platform program
+    | None -> Bcet.analyze ~annot platform program
   in
   match key ~kind:"bcet" ~annot ~salt platform program with
   | None -> analyze ()

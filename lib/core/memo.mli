@@ -25,32 +25,6 @@ val create : ?capacity:int -> unit -> t
 (** [capacity] bounds the number of cached results (default 512);
     least-recently-used results are evicted beyond it. *)
 
-(** {1 Second level}
-
-    A pluggable blob store behind the in-memory LRU (typically
-    {!Store.Front.memo_tier2} over the on-disk content-addressed store).
-    It trades in *encoded* results: a full analysis result carries the
-    platform's closures and cannot be rebuilt from disk, but its encoded
-    (distilled) form can be served verbatim — so only the [*_encoded]
-    entry points consult the second level, and they return blobs.  Keys
-    are the same fingerprints the LRU uses; the key discipline (salts
-    for closure-bearing platforms, {!key} returning [None] otherwise)
-    therefore applies unchanged — a [`Needs_salt] platform point is
-    never persisted without a salt because it never gets a key at
-    all. *)
-
-type tier2 = {
-  t2_find : kind:string -> string -> string option;
-      (** [t2_find ~kind key] returns the stored blob, or [None]. *)
-  t2_store : kind:string -> string -> string -> unit;
-      (** [t2_store ~kind key blob] persists a freshly computed
-          result's encoding. *)
-}
-
-val set_tier2 : t -> tier2 option -> unit
-(** Install (or remove) the second-level store.  Install before sharing
-    the memo across domains; the hook itself must be thread-safe. *)
-
 val key :
   kind:string ->
   annot:Dataflow.Annot.t ->
@@ -64,35 +38,10 @@ val key :
     mode with no salt) — exposed so external stores key by exactly the
     discipline the memo itself enforces. *)
 
-val wcet_encoded :
-  t ->
-  encode:(Wcet.t -> string) ->
-  ?annot:Dataflow.Annot.t ->
-  ?salt:string ->
-  ?telemetry:Engine.Telemetry.t ->
-  Platform.t ->
-  Isa.Program.t ->
-  string
-(** Memoized analysis returning the [encode]d result.  Resolution order:
-    in-memory LRU (re-encoded), then the second level (blob served
-    verbatim), then a cold analysis (stored in both levels).  [encode]
-    must be canonical for the bit-identity guarantee to carry over. *)
-
-val bcet_encoded :
-  t ->
-  encode:(Bcet.t -> string) ->
-  ?annot:Dataflow.Annot.t ->
-  ?salt:string ->
-  ?telemetry:Engine.Telemetry.t ->
-  Platform.t ->
-  Isa.Program.t ->
-  string
-
 val wcet :
   t ->
   ?annot:Dataflow.Annot.t ->
   ?salt:string ->
-  ?telemetry:Engine.Telemetry.t ->
   ?compute:(unit -> Wcet.t) ->
   Platform.t ->
   Isa.Program.t ->
@@ -111,7 +60,6 @@ val bcet :
   t ->
   ?annot:Dataflow.Annot.t ->
   ?salt:string ->
-  ?telemetry:Engine.Telemetry.t ->
   ?compute:(unit -> Bcet.t) ->
   Platform.t ->
   Isa.Program.t ->

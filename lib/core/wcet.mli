@@ -59,7 +59,6 @@ exception Not_analysable of string
     a context are the same exception. *)
 
 val analyze_with :
-  ?telemetry:Engine.Telemetry.t ->
   ?solver:[ `Sparse | `Reference ] ->
   ?bypass_key:string ->
   ?refine:Refine.config ->
@@ -86,7 +85,6 @@ val analyze_with :
 
 val analyze :
   ?annot:Dataflow.Annot.t ->
-  ?telemetry:Engine.Telemetry.t ->
   ?solver:[ `Sparse | `Reference ] ->
   ?refine:Refine.config ->
   ?measure_cold:bool ->
@@ -111,13 +109,11 @@ val analyze :
     instrumentation, not semantics, so it deliberately does not
     participate in any memo salt.
 
-    [telemetry] accumulates per-phase wall-clock time ([cfg-build],
-    [cfg-loops], [value-analysis], [loop-bounds], [cache-analysis],
-    [block-costs], [ipet-solve]) and counters ([cache-fixpoint-iters],
-    [simplex-pivots], [ilp-nodes], [worklist-pops], [cache-transfers],
-    [procedures]); passing the same accumulator to many analyses
-    aggregates across them, including from concurrent worker domains.
-    [None] (the default) costs nothing.
+    Each phase runs inside an {!Obs.span} of [cat:"phase"]: [cfg-build],
+    [cfg-loops], [value-analysis] and [loop-bounds] while the context's
+    facts are built, [cache-analysis] for the L1 and L2 fixpoints, then
+    [block-costs] and [ipet-solve].  {!Obs.Summary} folds them per name.
+    Without a sink installed they cost one atomic load each.
 
     [solver] selects the LP/ILP engine for the IPET stage, see
     {!Ipet.solve}; results are identical, only the measured work

@@ -29,9 +29,10 @@ let with_strategy s f =
   r := s;
   Fun.protect ~finally:(fun () -> r := old) f
 
-(* Per-domain monotone counters, same telemetry contract as
-   [Cache.Analysis.fixpoint_iterations]: read before and after a phase
-   and charge the difference. *)
+(* Per-domain monotone counters, same contract as
+   [Cache.Analysis.fixpoint_iterations]: a reader takes them before and
+   after a piece of work and charges the difference.  The Obs wrapper
+   below, the ledger and bench/perf.ml read them. *)
 let pops_key = Domain.DLS.new_key (fun () -> ref 0)
 let pops () = !(Domain.DLS.get pops_key)
 let transfers_key = Domain.DLS.new_key (fun () -> ref 0)

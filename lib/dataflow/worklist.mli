@@ -20,8 +20,9 @@ val with_strategy : strategy -> (unit -> 'a) -> 'a
 val pops : unit -> int
 (** Monotone count of block examinations (input recomputation + staleness
     check) performed by the calling domain, in either strategy.  Same
-    read-before/read-after telemetry contract as
-    {!Cache.Analysis.fixpoint_iterations}. *)
+    read-before/read-after contract as
+    {!Cache.Analysis.fixpoint_iterations}; {!solve} charges each run's
+    delta to the sink's [dataflow.worklist.pops] counter. *)
 
 val transfers : unit -> int
 (** Monotone count of transfer-function applications by the calling
@@ -47,7 +48,8 @@ val run :
     out-state changed (which is what schedules successors).  [round] is
     1-based and identical to the sweep number the classic iteration would
     be on, so round-keyed widening clocks carry over unchanged.
-    [on_round] fires at the start of each round (telemetry).
+    [on_round] fires at the start of each round (the cache fixpoints
+    count their sweeps with it).
 
     When an {!Obs} sink is installed, each run records a [cat:"fixpoint"]
     span under [name] (default ["fixpoint"]) plus pops/transfers counters

@@ -4,10 +4,10 @@ exception Timeout
 
 let check ctx =
   match ctx.deadline_ns with
-  | Some d when Int64.compare (Telemetry.now_ns ()) d > 0 -> raise Timeout
+  | Some d when Int64.compare (Monotonic_clock.now ()) d > 0 -> raise Timeout
   | Some _ | None -> ()
 
-let elapsed_ns ctx = Int64.sub (Telemetry.now_ns ()) ctx.start_ns
+let elapsed_ns ctx = Int64.sub (Monotonic_clock.now ()) ctx.start_ns
 
 type 'a job = { label : string; work : ctx -> 'a }
 
@@ -65,7 +65,7 @@ let run ?workers ?timeout_ns jobs =
   in
   let exec ~worker i =
     let j = jobs.(i) in
-    let start = Telemetry.now_ns () in
+    let start = Monotonic_clock.now () in
     let ctx =
       { start_ns = start; deadline_ns = Option.map (Int64.add start) timeout_ns }
     in

@@ -5,8 +5,8 @@ type outcome =
 
 type result = { outcome : outcome; nodes : int }
 
-(* Monotone per-domain node counter, same telemetry contract as
-   [Simplex.pivots]. *)
+(* Monotone per-domain node counter, same read-before/read-after contract
+   as [Simplex.pivots]. *)
 let nodes_key = Domain.DLS.new_key (fun () -> ref 0)
 let nodes_explored () = !(Domain.DLS.get nodes_key)
 

@@ -62,4 +62,6 @@ val solve_result_state :
 
 val nodes_explored : unit -> int
 (** Monotone count of branch-and-bound nodes explored by the calling
-    domain, same telemetry contract as {!Simplex.pivots}. *)
+    domain, same read-before/read-after contract as {!Simplex.pivots}.
+    Under an {!Obs} sink each solve adds its nodes to the [lp.ilp.nodes]
+    counter; the ledger and bench/perf.ml read this counter directly. *)

@@ -44,10 +44,22 @@ type tableau = {
   mutable blocked : bool array; (* columns that may never enter (artificials) *)
 }
 
-(* Per-domain monotone pivot counter: telemetry reads it before and after
+(* Per-domain monotone pivot counter: a reader takes it before and after
    a solve and charges the difference, without cross-domain races. *)
 let pivots_key = Domain.DLS.new_key (fun () -> ref 0)
 let pivots () = !(Domain.DLS.get pivots_key)
+
+(* Charge the pivots of [f] to the ambient [lp.simplex.pivots] counter.
+   Every entry point that pivots goes through this or a solve wrapper
+   below, so under a sink the counter equals the [pivots] delta. *)
+let count_pivots f =
+  if not (Obs.enabled ()) then f ()
+  else begin
+    let p0 = pivots () in
+    let r = f () in
+    Obs.add "lp.simplex.pivots" (pivots () - p0);
+    r
+  end
 
 let pivot t ~row ~col =
   incr (Domain.DLS.get pivots_key);
@@ -535,10 +547,11 @@ let prepare_uninstrumented model ~extra =
 let prepare model ~extra =
   if not (Obs.enabled ()) then prepare_uninstrumented model ~extra
   else
-    Obs.span ~cat:"lp"
-      ~args:[ ("vars", Obs.Event.Int (Model.num_vars model)) ]
-      "lp.simplex.prepare"
-      (fun () -> prepare_uninstrumented model ~extra)
+    count_pivots (fun () ->
+        Obs.span ~cat:"lp"
+          ~args:[ ("vars", Obs.Event.Int (Model.num_vars model)) ]
+          "lp.simplex.prepare"
+          (fun () -> prepare_uninstrumented model ~extra))
 
 let solve_prepared_uninstrumented prepared model =
   match prepared with
@@ -752,29 +765,21 @@ let add_le_row parent terms bound =
   | `Optimal -> (Optimal (t.zval, solution_of t s.nvars), Some s)
 
 let branch parent ~var ~bound =
-  let p0 = if Obs.enabled () then pivots () else 0 in
-  let r =
-    let v = (var : Model.var :> int) in
-    match bound with
-    | `Le k -> add_le_row parent [ (Q.one, v) ] (Q.of_int k)
-    | `Ge k -> add_le_row parent [ (Q.minus_one, v) ] (Q.of_int (-k))
-  in
-  if Obs.enabled () then Obs.add "lp.simplex.pivots" (pivots () - p0);
-  r
+  count_pivots (fun () ->
+      let v = (var : Model.var :> int) in
+      match bound with
+      | `Le k -> add_le_row parent [ (Q.one, v) ] (Q.of_int k)
+      | `Ge k -> add_le_row parent [ (Q.minus_one, v) ] (Q.of_int (-k)))
 
 (* General cut rows over model variables: the row-level primitive behind
    [branch], exposed for infeasible-path conflict cuts (sum of edge flows
    <= k).  Same warm-start contract: the parent's basis is reused, one
    dual-simplex run restores optimality. *)
 let add_le parent ~terms ~bound =
-  let p0 = if Obs.enabled () then pivots () else 0 in
-  let r =
-    add_le_row parent
-      (List.map (fun (c, v) -> (c, (v : Model.var :> int))) terms)
-      bound
-  in
-  if Obs.enabled () then Obs.add "lp.simplex.pivots" (pivots () - p0);
-  r
+  count_pivots (fun () ->
+      add_le_row parent
+        (List.map (fun (c, v) -> (c, (v : Model.var :> int))) terms)
+        bound)
 
 (* Incumbent cutoff: objective >= lower, i.e. -objective <= -lower. *)
 let add_cutoff parent ~lower =
@@ -782,4 +787,4 @@ let add_cutoff parent ~lower =
   Array.iteri
     (fun v c -> if not (Q.is_zero c) then terms := (Q.neg c, v) :: !terms)
     parent.cost;
-  add_le_row parent (List.rev !terms) (Q.neg lower)
+  count_pivots (fun () -> add_le_row parent (List.rev !terms) (Q.neg lower))

@@ -28,8 +28,11 @@ val solve_with :
 val pivots : unit -> int
 (** Monotone count of simplex pivots performed *by the calling domain*
     since it started (primal and dual pivots alike).  Read before and
-    after a solve and subtract to charge the difference to a telemetry
-    counter; per-domain storage keeps parallel analyses from racing. *)
+    after a solve and subtract to charge the difference; per-domain
+    storage keeps parallel analyses from racing.  Under an {!Obs} sink
+    every entry point below that pivots adds its delta to the
+    [lp.simplex.pivots] counter; the ledger and bench/perf.ml read this
+    counter directly. *)
 
 (** {1 Warm starts}
 

@@ -41,20 +41,12 @@ let to_csv sink =
     (fun tr ->
       let tid = string_of_int (Sink.tid tr) in
       let tname = Sink.track_name tr in
-      (* Pair Begin/End with a stack; rows appear in completion order. *)
-      let stack = ref [] in
-      List.iter
-        (fun (e : Event.t) ->
+      Sink.iter_spans tr
+        ~span:(fun ~cat ~ts ~dur name ->
+          row "span" tid tname cat name (Int64.to_string ts)
+            (Int64.to_string dur) "")
+        ~point:(fun (e : Event.t) ->
           match e.kind with
-          | Event.Begin { name; cat; _ } -> stack := (name, cat, e.ts) :: !stack
-          | Event.End -> (
-              match !stack with
-              | (name, cat, t0) :: rest ->
-                  stack := rest;
-                  row "span" tid tname cat name (Int64.to_string t0)
-                    (Int64.to_string (Int64.sub e.ts t0))
-                    ""
-              | [] -> ())
           | Event.Instant { name; cat; _ } ->
               row "instant" tid tname cat name (Int64.to_string e.ts) "" ""
           | Event.Counter { name; cat; args } ->
@@ -62,8 +54,8 @@ let to_csv sink =
                 (String.concat ";"
                    (List.map
                       (fun (k, v) -> k ^ "=" ^ Event.value_to_string v)
-                      args)))
-        (Sink.events tr))
+                      args))
+          | Event.Begin _ | Event.End -> ()))
     (Sink.tracks sink);
   List.iter
     (function

@@ -5,6 +5,7 @@ module Ring = Ring
 module Sink = Sink
 module Trace_export = Trace_export
 module Csv_export = Csv_export
+module Summary = Summary
 module Reqtrace = Reqtrace
 module Sampler = Sampler
 module Flight = Flight

@@ -13,7 +13,8 @@
     deterministic at any worker count.  Exporters merge the tracks at
     read time: {!Trace_export} emits Chrome [trace_event] JSON for
     chrome://tracing / Perfetto, {!Csv_export} a flat CSV for the bench
-    harness. *)
+    harness, and {!Summary} the per-phase totals and counters that
+    [paratime batch --phases] prints. *)
 
 module Event = Event
 module Histogram = Histogram
@@ -22,6 +23,7 @@ module Ring = Ring
 module Sink = Sink
 module Trace_export = Trace_export
 module Csv_export = Csv_export
+module Summary = Summary
 module Reqtrace = Reqtrace
 module Sampler = Sampler
 module Flight = Flight
@@ -57,10 +59,10 @@ val counter : ?cat:string -> ?args:(string * Event.value) list -> string -> unit
     current domain's track; each arg is one series value. *)
 
 val emit_begin : ts:int64 -> ?cat:string -> ?args:(string * Event.value) list -> string -> unit
-(** Low-level: record a [Begin] with an externally read timestamp.  Used
-    by callers that need the measured duration themselves (e.g. the
-    {!Engine.Telemetry} shim, whose aggregated totals must equal the
-    span-derived sums exactly). *)
+(** Low-level: record a [Begin] with an externally read timestamp, for
+    callers that read the clock themselves: a test driving several
+    domains with fixed timestamps gets an export that does not depend on
+    scheduling. *)
 
 val emit_end : ts:int64 -> unit
 

@@ -101,6 +101,24 @@ let events tr =
     kept
     @ List.init !depth (fun _ -> { Event.ts = last_ts; kind = Event.End })
 
+(* The one Begin/End pairing every span reader shares: a stack of open
+   Begins per track, so a span is reported when its End is read and
+   spans arrive in completion order. *)
+let iter_spans tr ~span ~point =
+  let stack = ref [] in
+  List.iter
+    (fun (e : Event.t) ->
+      match e.kind with
+      | Event.Begin { name; cat; _ } -> stack := (name, cat, e.ts) :: !stack
+      | Event.End -> (
+          match !stack with
+          | (name, cat, t0) :: rest ->
+              stack := rest;
+              span ~cat ~ts:t0 ~dur:(Int64.sub e.ts t0) name
+          | [] -> ())
+      | Event.Instant _ | Event.Counter _ -> point e)
+    (events tr)
+
 let dropped tr = Ring.dropped tr.ring
 let tid tr = tr.tid
 let track_name tr = tr.track_name

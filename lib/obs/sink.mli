@@ -46,4 +46,14 @@ val events : track -> Event.t list
     repaired: orphan [End]s dropped, unclosed [Begin]s closed at the last
     timestamp.  Always balanced and properly nested. *)
 
+val iter_spans :
+  track ->
+  span:(cat:string -> ts:int64 -> dur:int64 -> string -> unit) ->
+  point:(Event.t -> unit) ->
+  unit
+(** Walk the track's {!events} in order, pairing each [End] with the
+    [Begin] it closes: [span ~cat ~ts ~dur name] fires at the [End], so
+    spans arrive in completion order with their begin timestamp and
+    duration; [point] gets every [Instant] and [Counter] event. *)
+
 val dropped : track -> int

@@ -178,10 +178,11 @@ let decode cfg (program : Isa.Program.t) =
 (* Decode is pure, and the same program is re-simulated constantly (the
    tightness table runs it under eight approach modes; the differential
    oracle under two interpreters), so memoize per (latencies, l1i
-   geometry, program) — the only inputs [decode] reads — keyed by
-   physical equality in a small ring.  Entries are immutable triples, so
-   a racy read from concurrent serving threads at worst misses and
-   re-decodes. *)
+   geometry, program) — the only inputs [decode] reads — in a small ring.
+   The program matches by physical equality; the latencies and geometry
+   are small int-only records that callers rebuild per machine, so they
+   match structurally.  Entries are immutable, so a racy read from
+   concurrent serving threads at worst misses and re-decodes. *)
 let decode_cache : (Pipeline.Latencies.t * Cache.Config.t * Isa.Program.t * t) option array
     =
   Array.make 32 None
@@ -194,7 +195,7 @@ let decode_cached cfg program =
     else
       match decode_cache.(i) with
       | Some (lat, l1i, p, d)
-        when lat == cfg.latencies && l1i == cfg.l1i && p == program ->
+        when p == program && lat = cfg.latencies && l1i = cfg.l1i ->
           Some d
       | _ -> find (i + 1)
   in

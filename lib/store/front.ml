@@ -108,21 +108,6 @@ let put t key e =
   Engine.Lru.put t.lru key e;
   if t.writer <> None then enqueue_write t key (Entry.encode e)
 
-let find_blob t key =
-  match Engine.Lru.find t.lru key with
-  | Some e -> Some (Entry.encode e)
-  | None -> Option.bind t.writer (fun w -> Disk.find w.disk key)
-
-let put_blob t key blob =
-  Option.iter (fun e -> Engine.Lru.put t.lru key e) (Entry.decode blob);
-  enqueue_write t key blob
-
-let memo_tier2 t =
-  {
-    Core.Memo.t2_find = (fun ~kind:_ key -> find_blob t key);
-    t2_store = (fun ~kind:_ key blob -> put_blob t key blob);
-  }
-
 let mem_stats t = Engine.Lru.stats t.lru
 let disk_stats t = Option.map (fun w -> Disk.stats w.disk) t.writer
 

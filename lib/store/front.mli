@@ -14,12 +14,7 @@
     never waits on filesystem syscalls.  The queue is bounded
     ([max_pending]); overflow drops the disk write — counted under
     ["store.write_dropped"] — because losing a cache write only costs a
-    future re-analysis.  {!flush} drains the queue.
-
-    Blob-level access ({!find_blob}/{!put_blob}) is the {!Core.Memo}
-    second-level interface: {!memo_tier2} adapts a front into the hook
-    [Core.Memo.set_tier2] accepts, which is how [paratime batch --store]
-    keeps its memo warm across process restarts. *)
+    future re-analysis.  {!flush} drains the queue. *)
 
 type t
 type level = Memory | Disk
@@ -38,17 +33,6 @@ val put : t -> string -> Entry.t -> unit
 
 val max_pending : int
 (** Bound on queued disk writes (1024). *)
-
-val find_blob : t -> string -> string option
-(** Raw encoded blob (memory hits re-encode — the codec is canonical, so
-    the bytes equal what {!put} stored). *)
-
-val put_blob : t -> string -> string -> unit
-(** Store a raw blob; it is promoted into the memory level only when it
-    decodes as an {!Entry.t} (foreign blobs stay disk-only). *)
-
-val memo_tier2 : t -> Core.Memo.tier2
-(** Adapt this front as a {!Core.Memo} second-level store. *)
 
 val mem_stats : t -> Engine.Lru.stats
 val disk_stats : t -> Disk.stats option

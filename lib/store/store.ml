@@ -4,7 +4,7 @@
     decomposition) with a canonical versioned binary codec.
     {!Disk}: the bounded, checksummed, LRU-evicting on-disk layer.
     {!Front}: {!Engine.Lru} of decoded entries in front of a disk, with
-    the {!Core.Memo} second-level adapter. *)
+    write-behind disk writes. *)
 
 module Entry = Entry
 module Disk = Disk

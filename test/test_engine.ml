@@ -1,8 +1,9 @@
 (* Tests for the parallel analysis engine: the LRU result cache, the
    domain worker pool, structural fingerprints, the memoizing analysis
-   front-end, and phase telemetry.  The load-bearing property is at the
-   bottom: N-worker parallel analysis of the full workload suite is
-   outcome-identical to the sequential path, memoized or not. *)
+   front-end, and the phase summary of a traced run.  The load-bearing
+   property is at the bottom: N-worker parallel analysis of the full
+   workload suite is outcome-identical to the sequential path, memoized
+   or not. *)
 
 module B = Workloads.Bench_programs
 
@@ -207,14 +208,14 @@ let test_pool_caller_is_worker_0 () =
      started, so no domain can run both.  Two workers are the caller and
      one spawned domain: the caller must run one of the jobs. *)
   let started = Atomic.make 0 in
-  let deadline = Int64.add (Engine.Telemetry.now_ns ()) 5_000_000_000L in
+  let deadline = Int64.add (Obs.now_ns ()) 5_000_000_000L in
   let job =
     Engine.Pool.job (fun _ ->
         let self = (Domain.self () :> int) in
         Atomic.incr started;
         while
           Atomic.get started < 2
-          && Int64.compare (Engine.Telemetry.now_ns ()) deadline < 0
+          && Int64.compare (Obs.now_ns ()) deadline < 0
         do
           Domain.cpu_relax ()
         done;
@@ -430,114 +431,97 @@ let test_parallel_memoized_equals_sequential_direct () =
   Alcotest.(check (list outcome_int)) "memoized parallel = direct" expected par
 
 (* ------------------------------------------------------------------ *)
-(* Telemetry                                                           *)
+(* Phase summary                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let test_telemetry_phases_and_counters () =
-  let t = Engine.Telemetry.create () in
+(* A batch job's shape: one context, then both bound sides over it.  Run
+   under a sink, its summary must hold the front end's phases and both
+   back ends' solves, and the registry's work counters every unit of
+   work the job did, phase 1 of the lazily prepared IPET systems
+   included. *)
+let test_summary_batch_job () =
   let b = B.crc ~n:8 in
   let platform = Core.Platform.single_core ~l2:l2_default () in
-  let _ = Core.Wcet.analyze ~annot:b.B.annot ~telemetry:t platform b.B.program in
-  let phase_names =
-    List.map (fun (p : Engine.Telemetry.phase) -> p.Engine.Telemetry.phase)
-      (Engine.Telemetry.phases t)
+  let sink = Obs.Sink.create () in
+  let p0 = Lp.Simplex.pivots ()
+  and n0 = Lp.Ilp.nodes_explored ()
+  and w0 = Dataflow.Worklist.pops () in
+  let procs =
+    Obs.with_sink sink (fun () ->
+        let ctx =
+          Core.Context.of_platform ~annot:b.B.annot platform b.B.program
+        in
+        ignore (Core.Wcet.analyze_with ~ctx platform);
+        ignore (Core.Bcet.analyze_with ~ctx platform);
+        List.length ctx.Core.Context.procs)
   in
-  List.iter
-    (fun expected ->
-      Alcotest.(check bool) ("phase " ^ expected) true
-        (List.mem expected phase_names))
-    [ "cfg-build"; "value-analysis"; "cache-analysis"; "ipet-solve" ];
+  let s = Obs.Summary.of_sink sink in
+  Alcotest.(check (list string))
+    "phases in pipeline order"
+    [
+      "cfg-build";
+      "cfg-loops";
+      "value-analysis";
+      "loop-bounds";
+      "cache-analysis";
+      "block-costs";
+      "ipet-solve";
+    ]
+    (List.map (fun (p : Obs.Summary.phase) -> p.Obs.Summary.name) s.phases);
+  (match List.rev s.phases with
+  | { Obs.Summary.name = "ipet-solve"; calls; _ } :: _ ->
+      Alcotest.(check int) "one WCET and one BCET solve per procedure"
+        (2 * procs) calls
+  | _ -> Alcotest.fail "ipet-solve missing");
   let counter name =
-    match List.assoc_opt name (Engine.Telemetry.counters t) with
-    | Some n -> n
-    | None -> 0
+    Option.value ~default:0 (List.assoc_opt name s.Obs.Summary.counters)
   in
-  Alcotest.(check bool) "simplex pivots counted" true
-    (counter "simplex-pivots" > 0);
-  Alcotest.(check bool) "cache fixpoint iterations counted" true
-    (counter "cache-fixpoint-iters" > 0);
-  Alcotest.(check bool) "procedures counted" true (counter "procedures" > 0);
-  Alcotest.(check bool) "time accumulated" true
-    (Engine.Telemetry.total_ns t > 0L);
-  Alcotest.(check bool) "render non-empty" true
-    (Engine.Telemetry.render t <> "");
-  (* CSV: header + one row per phase + one per counter. *)
-  let csv_lines =
-    String.split_on_char '\n' (String.trim (Engine.Telemetry.to_csv t))
-  in
-  Alcotest.(check int) "csv row count"
-    (1
-    + List.length (Engine.Telemetry.phases t)
-    + List.length (Engine.Telemetry.counters t))
-    (List.length csv_lines)
+  let pivots = Lp.Simplex.pivots () - p0 in
+  Alcotest.(check bool) "the solves pivot" true (pivots > 0);
+  Alcotest.(check int)
+    "lp.simplex.pivots" pivots
+    (counter "lp.simplex.pivots");
+  Alcotest.(check int) "lp.ilp.nodes"
+    (Lp.Ilp.nodes_explored () - n0)
+    (counter "lp.ilp.nodes");
+  Alcotest.(check int) "dataflow.worklist.pops"
+    (Dataflow.Worklist.pops () - w0)
+    (counter "dataflow.worklist.pops");
+  let csv = Obs.Summary.csv_rows s in
+  Alcotest.(check int) "one csv row per phase and counter"
+    (List.length s.phases + List.length s.counters)
+    (List.length (String.split_on_char '\n' (String.trim csv)))
 
-let test_telemetry_span_on_exception () =
-  let t = Engine.Telemetry.create () in
-  (try Engine.Telemetry.span t "fails" (fun () -> failwith "x")
-   with Failure _ -> ());
-  match Engine.Telemetry.phases t with
-  | [ { Engine.Telemetry.phase = "fails"; calls = 1; _ } ] -> ()
-  | _ -> Alcotest.fail "span must record the phase even when f raises"
+let test_summary_span_on_exception () =
+  let sink = Obs.Sink.create () in
+  Obs.with_sink sink (fun () ->
+      try Obs.span ~cat:"phase" "fails" (fun () -> failwith "x")
+      with Failure _ -> ());
+  match (Obs.Summary.of_sink sink).Obs.Summary.phases with
+  | [ { Obs.Summary.name = "fails"; calls = 1; _ } ] -> ()
+  | _ -> Alcotest.fail "a raising phase span must still count once"
 
-let test_telemetry_unmetered_analysis_unchanged () =
-  (* ?telemetry must be a pure observer. *)
+let test_summary_pure_observer () =
+  (* Tracing observes: both bounds and their attributions are the same
+     bytes with and without a sink. *)
   let b = B.assoc_stress ~ways:4 ~reps:12 in
   let platform = Core.Platform.single_core ~l2:l2_default () in
-  let t = Engine.Telemetry.create () in
-  check_wcet_equal "telemetry observer"
-    (Core.Wcet.analyze ~annot:b.B.annot platform b.B.program)
-    (Core.Wcet.analyze ~annot:b.B.annot ~telemetry:t platform b.B.program)
-
-let test_telemetry_totals_equal_span_sums () =
-  (* The shim reads each phase's clock once and feeds the same
-     timestamps to both the emitted Begin/End events and its aggregate,
-     so the reported totals must equal the span-derived sums exactly. *)
-  let sink = Obs.Sink.create () in
-  let t = Engine.Telemetry.create () in
-  let b = B.crc ~n:8 in
-  let platform = Core.Platform.single_core ~l2:l2_default () in
-  Obs.with_sink sink (fun () ->
-      ignore
-        (Core.Wcet.analyze ~annot:b.B.annot ~telemetry:t platform b.B.program));
-  let sums = Hashtbl.create 16 in
-  List.iter
-    (fun tr ->
-      let stack = ref [] in
-      List.iter
-        (fun (e : Obs.Event.t) ->
-          match e.Obs.Event.kind with
-          | Obs.Event.Begin { name; cat; _ } ->
-              stack := (name, cat, e.Obs.Event.ts) :: !stack
-          | Obs.Event.End -> (
-              match !stack with
-              | (name, cat, t0) :: rest ->
-                  stack := rest;
-                  if cat = "phase" then begin
-                    let d = Int64.to_int (Int64.sub e.Obs.Event.ts t0) in
-                    let total, calls =
-                      Option.value ~default:(0, 0) (Hashtbl.find_opt sums name)
-                    in
-                    Hashtbl.replace sums name (total + d, calls + 1)
-                  end
-              | [] -> ())
-          | Obs.Event.Instant _ | Obs.Event.Counter _ -> ())
-        (Obs.Sink.events tr))
-    (Obs.Sink.tracks sink);
-  let phases = Engine.Telemetry.phases t in
-  Alcotest.(check bool) "phases recorded" true (phases <> []);
-  List.iter
-    (fun (p : Engine.Telemetry.phase) ->
-      match Hashtbl.find_opt sums p.Engine.Telemetry.phase with
-      | None ->
-          Alcotest.fail ("phase missing from trace: " ^ p.Engine.Telemetry.phase)
-      | Some (total, calls) ->
-          Alcotest.(check int)
-            (p.Engine.Telemetry.phase ^ " calls")
-            calls p.Engine.Telemetry.calls;
-          Alcotest.(check int64)
-            (p.Engine.Telemetry.phase ^ " total")
-            (Int64.of_int total) p.Engine.Telemetry.total_ns)
-    phases
+  let run () =
+    let ctx =
+      Core.Context.of_platform ~annot:b.B.annot platform b.B.program
+    in
+    ( Core.Wcet.analyze_with ~ctx platform,
+      Core.Bcet.analyze_with ~ctx platform )
+  in
+  let w0, b0 = run () in
+  let w1, b1 = Obs.with_sink (Obs.Sink.create ()) run in
+  check_wcet_equal "traced" w0 w1;
+  Alcotest.(check string) "wcet entry"
+    (Store.Entry.encode (Store.Entry.of_wcet w0))
+    (Store.Entry.encode (Store.Entry.of_wcet w1));
+  Alcotest.(check string) "bcet entry"
+    (Store.Entry.encode (Store.Entry.of_bcet b0))
+    (Store.Entry.encode (Store.Entry.of_bcet b1))
 
 (* ------------------------------------------------------------------ *)
 
@@ -595,12 +579,10 @@ let () =
       ( "telemetry",
         [
           Alcotest.test_case "phases and counters" `Quick
-            test_telemetry_phases_and_counters;
+            test_summary_batch_job;
           Alcotest.test_case "span survives exceptions" `Quick
-            test_telemetry_span_on_exception;
+            test_summary_span_on_exception;
           Alcotest.test_case "pure observer" `Quick
-            test_telemetry_unmetered_analysis_unchanged;
-          Alcotest.test_case "shim totals equal span sums" `Quick
-            test_telemetry_totals_equal_span_sums;
+            test_summary_pure_observer;
         ] );
     ]

@@ -127,6 +127,43 @@ let test_ring_wrap_stays_balanced () =
   Alcotest.(check bool) "events were dropped" true (Obs.Sink.dropped tr > 0);
   check_well_formed "after wrap" (Obs.Sink.events tr)
 
+(* The buffer grows from 64 slots to the capacity on demand: across the
+   growth steps and past the capacity, a ring holds exactly the newest
+   [min pushed capacity] events in order and counts the rest dropped. *)
+let test_ring_keeps_newest () =
+  List.iter
+    (fun (capacity, pushed) ->
+      let r = Obs.Ring.create capacity in
+      for i = 1 to pushed do
+        Obs.Ring.push r
+          {
+            Obs.Event.ts = Int64.of_int i;
+            kind = Obs.Event.Instant { name = ""; cat = ""; args = [] };
+          }
+      done;
+      let kept = min pushed capacity in
+      let what = Printf.sprintf "capacity %d, %d pushed" capacity pushed in
+      Alcotest.(check (list int64))
+        what
+        (List.init kept (fun i -> Int64.of_int (pushed - kept + i + 1)))
+        (List.map
+           (fun (e : Obs.Event.t) -> e.Obs.Event.ts)
+           (Obs.Ring.to_list r));
+      Alcotest.(check int) (what ^ ": dropped") (pushed - kept)
+        (Obs.Ring.dropped r))
+    [
+      (1, 3);
+      (8, 5);
+      (64, 64);
+      (64, 65);
+      (65, 64);
+      (65, 66);
+      (100, 130);
+      (200, 129);
+      (200, 450);
+      (1 lsl 16, 1000);
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Deterministic merge                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -623,6 +660,8 @@ let () =
       ( "spans",
         [
           Alcotest.test_case "nesting well-formed" `Quick test_span_nesting;
+          Alcotest.test_case "ring keeps the newest events" `Quick
+            test_ring_keeps_newest;
           Alcotest.test_case "ring wrap stays balanced" `Quick
             test_ring_wrap_stays_balanced;
         ] );
