@@ -11,7 +11,10 @@
       universe flag clear) is guaranteed absent.  The universe flag records
       that an access with statically-unknown address may have brought any
       line into the set.
-    - [Pers] ages are upper bounds including the virtual eviction age. *)
+    - [Pers] ages are upper bounds including the virtual eviction age.
+
+    States are immutable and share their unchanged parts: an operation
+    that changes nothing returns its input itself. *)
 
 type kind = Must | May | Pers
 

@@ -196,9 +196,9 @@ let pers_fixpoint config g ~entry ~accesses_of ~had_call ~must_before =
   let force = function Some x -> x | None -> entry_state in
   (Array.map force ins, Array.map force outs)
 
-let classify config must may pers a =
+let classify config ~must ~may ~pers target =
   let assoc = config.Config.assoc in
-  match a.target with
+  match target with
   | Unknown -> Not_classified
   | Lines ls ->
       let all_must = List.for_all (fun l -> Acs.contains_line must l) ls in
@@ -248,7 +248,8 @@ let analyze config g ~entry ~accesses =
     let (_ : Acs.t * Acs.t) =
       List.fold_left2
         (fun (may, pers) must a ->
-          Table.set points a.kind a.instr (a, classify config must may pers a);
+          Table.set points a.kind a.instr
+            (a, classify config ~must ~may ~pers a.target);
           (apply_access may a, apply_access_guided ~must pers a))
         (may_ins.(id), pers_ins.(id))
         must_before.(id) accesses_of.(id)

@@ -97,6 +97,19 @@ val reachable_lines : t -> int list
 (** All lines any access of the procedure may touch (sorted): the
     procedure's cache footprint, used by shared-cache conflict analysis. *)
 
+val classify :
+  Config.t ->
+  must:Acs.t ->
+  may:Acs.t ->
+  pers:Acs.t ->
+  target ->
+  classification
+(** The category of an access to [target] from the must, may and
+    persistence states before it: [Always_hit] when every candidate line
+    is in [must], [Always_miss] when none may be in [may], [Persistent]
+    for a single line younger than [assoc] in [pers].  Exposed so that
+    {!Multilevel} classifies L2 accesses by the same rules. *)
+
 val transfer : Acs.t -> access list -> had_call:bool -> Acs.t
 (** Exposed for the multilevel/shared analyses and tests. *)
 

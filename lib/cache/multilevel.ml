@@ -25,6 +25,11 @@ let cac_of_l1 l1 (a : Analysis.access) =
   | Analysis.Persistent | Analysis.Not_classified -> Uncertain
   | exception Not_found -> Always
 
+(* The candidates that enter L2: [ls] itself unless one is bypassed. *)
+let live_lines bypass ls =
+  if List.exists bypass ls then List.filter (fun l -> not (bypass l)) ls
+  else ls
+
 (* The L2 step of one access under its CAC, with [step] the kind's access
    to one of the live (non-bypassed) candidate lines.  A [Never] access
    hits L1 and leaves L2 alone; an [Uncertain] one joins every touched set
@@ -37,7 +42,7 @@ let apply_l2_with step bypass acs ((a : Analysis.access), cac) =
     match a.target with
     | Analysis.Unknown -> Acs.access_unknown acs
     | Analysis.Lines ls -> (
-        match List.filter (fun l -> not (bypass l)) ls with
+        match live_lines bypass ls with
         | [] -> acs
         | live -> step ~uncertain:(cac = Uncertain) acs live)
 
@@ -95,12 +100,10 @@ let fixpoint_l2 config g ~entry ~tagged ~had_call bypass kind =
   let force = function Some x -> x | None -> entry_state in
   (Array.map force ins, Array.map force outs)
 
-let ages_of config acs target =
+let ages_of acs target =
   match (target : Analysis.target) with
   | Analysis.Unknown -> []
-  | Analysis.Lines ls ->
-      ignore config;
-      List.map (fun l -> (l, Acs.age_of_line acs l)) ls
+  | Analysis.Lines ls -> List.map (fun l -> (l, Acs.age_of_line acs l)) ls
 
 let analyze config g ~entry ~cac_of ~l2_accesses ?(bypass = fun _ -> false)
     () =
@@ -134,40 +137,15 @@ let analyze config g ~entry ~cac_of ~l2_accesses ?(bypass = fun _ -> false)
           let l2_class =
             if cac = Never then Analysis.Always_hit
             else
-              (* Reuse the single-level classifier on the L2 states;
-                 bypassed lines never enter L2. *)
-              let classify_one =
-                let assoc = config.Config.assoc in
-                match a.target with
-                | Analysis.Unknown -> Analysis.Not_classified
-                | Analysis.Lines ls ->
-                    let live = List.filter (fun l -> not (bypass l)) ls in
-                    if live = [] then Analysis.Always_miss
-                    else if
-                      List.for_all (fun l -> Acs.contains_line must l) live
-                    then Analysis.Always_hit
-                    else if
-                      List.for_all
-                        (fun l ->
-                          (not (Acs.contains_line may l))
-                          && not
-                               (Acs.universe may
-                                  ~set:(Config.set_of_line config l)))
-                        live
-                    then Analysis.Always_miss
-                    else
-                      let persistent =
-                        match live with
-                        | [ l ] -> (
-                            match Acs.age_of_line pers l with
-                            | Some age -> age < assoc
-                            | None -> false)
-                        | _ -> false
-                      in
-                      if persistent then Analysis.Persistent
-                      else Analysis.Not_classified
-              in
-              classify_one
+              (* Bypassed lines never enter L2. *)
+              match a.target with
+              | Analysis.Unknown -> Analysis.Not_classified
+              | Analysis.Lines ls -> (
+                  match live_lines bypass ls with
+                  | [] -> Analysis.Always_miss
+                  | live ->
+                      Analysis.classify config ~must ~may ~pers
+                        (Analysis.Lines live))
           in
           Analysis.Table.set by_instr a.kind a.instr
             {
@@ -176,8 +154,8 @@ let analyze config g ~entry ~cac_of ~l2_accesses ?(bypass = fun _ -> false)
               target = a.target;
               cac;
               l2_class;
-              must_ages = ages_of config must a.target;
-              pers_ages = ages_of config pers a.target;
+              must_ages = ages_of must a.target;
+              pers_ages = ages_of pers a.target;
             };
           (apply_l2 bypass may ac, apply_l2_pers bypass ~must pers ac))
         (may_ins.(id), pers_ins.(id))

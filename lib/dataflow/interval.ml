@@ -21,7 +21,7 @@ let bound_max a b = if bound_le a b then b else a
 
 let of_bounds lo hi = if bound_le lo hi then Range (lo, hi) else Bottom
 
-let is_bottom t = t = Bottom
+let is_bottom = function Bottom -> true | Range _ -> false
 
 let is_const = function
   | Range (Finite a, Finite b) when a = b -> Some a
@@ -54,19 +54,39 @@ let subset a b =
   | _, Bottom -> false
   | Range (l1, h1), Range (l2, h2) -> bound_le l2 l1 && bound_le h1 h2
 
-let equal a b = a = b
+let equal_bound a b =
+  match (a, b) with
+  | Finite x, Finite y -> x = y
+  | Neg_inf, Neg_inf | Pos_inf, Pos_inf -> true
+  | (Neg_inf | Finite _ | Pos_inf), _ -> false
 
+let equal a b =
+  a == b
+  ||
+  match (a, b) with
+  | Bottom, Bottom -> true
+  | Range (l1, h1), Range (l2, h2) -> equal_bound l1 l2 && equal_bound h1 h2
+  | (Bottom | Range _), _ -> false
+
+(* The lattice steps return an operand itself when the result has its
+   bounds, so a step that changes nothing allocates nothing. *)
 let join a b =
   match (a, b) with
   | Bottom, x | x, Bottom -> x
   | Range (l1, h1), Range (l2, h2) ->
-      Range (bound_min l1 l2, bound_max h1 h2)
+      let lo = bound_min l1 l2 and hi = bound_max h1 h2 in
+      if lo == l1 && hi == h1 then a
+      else if lo == l2 && hi == h2 then b
+      else Range (lo, hi)
 
 let meet a b =
   match (a, b) with
   | Bottom, _ | _, Bottom -> Bottom
   | Range (l1, h1), Range (l2, h2) ->
-      of_bounds (bound_max l1 l2) (bound_min h1 h2)
+      let lo = bound_max l1 l2 and hi = bound_min h1 h2 in
+      if lo == l1 && hi == h1 then a
+      else if lo == l2 && hi == h2 then b
+      else of_bounds lo hi
 
 let widen old next =
   match (old, next) with
@@ -75,7 +95,7 @@ let widen old next =
   | Range (l1, h1), Range (l2, h2) ->
       let lo = if bound_le l1 l2 then l1 else Neg_inf in
       let hi = if bound_le h2 h1 then h1 else Pos_inf in
-      Range (lo, hi)
+      if lo == l1 && hi == h1 then old else Range (lo, hi)
 
 (* Bound arithmetic: Neg_inf + Pos_inf never occurs in the combinations
    we form (we pair lows with lows and highs with highs). *)
@@ -230,20 +250,26 @@ let refine_ne a b =
   in
   (drop a b, drop b a)
 
+(* [of_bounds lo hi], or [t] itself when it has exactly these bounds. *)
+let reuse t lo hi =
+  match t with
+  | Range (l, h) when l == lo && h == hi -> t
+  | Range _ | Bottom -> of_bounds lo hi
+
 let refine_lt a b =
   match (a, b) with
   | Bottom, _ | _, Bottom -> (Bottom, Bottom)
   | Range (l1, h1), Range (l2, h2) ->
       (* a < b: a <= h2 - 1, b >= l1 + 1 *)
-      (of_bounds l1 (bound_min h1 (bound_pred h2)),
-       of_bounds (bound_max l2 (bound_succ l1)) h2)
+      (reuse a l1 (bound_min h1 (bound_pred h2)),
+       reuse b (bound_max l2 (bound_succ l1)) h2)
 
 let refine_ge a b =
   match (a, b) with
   | Bottom, _ | _, Bottom -> (Bottom, Bottom)
   | Range (l1, h1), Range (l2, h2) ->
       (* a >= b: a >= l2, b <= h1 *)
-      (of_bounds (bound_max l1 l2) h1, of_bounds l2 (bound_min h2 h1))
+      (reuse a (bound_max l1 l2) h1, reuse b l2 (bound_min h2 h1))
 
 let bound_to_string = function
   | Neg_inf -> "-inf"

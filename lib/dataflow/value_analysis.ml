@@ -9,33 +9,51 @@ type result = {
 
 let num_regs = Isa.Instr.num_regs
 
-let bottom_state () = Array.make num_regs Interval.bottom
+(* States are shared between blocks, edges and the result, and never
+   mutated once built: a transfer copies its input once and updates the
+   copy in place, and the lattice steps below return an operand itself
+   when they change nothing, so [bottom], [top] and a joined-away
+   operand can be shared. *)
+let bottom = Array.make num_regs Interval.bottom
 
-let top_state () =
+let top =
   let s = Array.make num_regs Interval.top in
   s.(0) <- Interval.const 0;
   s
 
-let is_bottom_state s = Array.exists Interval.is_bottom s
+(* Top-level loops, so a test allocates no closure. *)
+let rec bottom_from (s : astate) i =
+  i < num_regs && (Interval.is_bottom s.(i) || bottom_from s (i + 1))
+
+let is_bottom_state s = bottom_from s 0
+
+(* [a] with register [i] set to [f a.(i) b.(i)] for every register;
+   [a] itself when no register changes. *)
+let pointwise f (a : astate) (b : astate) =
+  let out = ref a in
+  for i = 0 to num_regs - 1 do
+    let v = f a.(i) b.(i) in
+    if v != a.(i) then begin
+      if !out == a then out := Array.copy a;
+      !out.(i) <- v
+    end
+  done;
+  !out
 
 let join_state a b =
-  if is_bottom_state a then Array.copy b
-  else if is_bottom_state b then Array.copy a
-  else Array.init num_regs (fun i -> Interval.join a.(i) b.(i))
+  if is_bottom_state a then b
+  else if is_bottom_state b then a
+  else pointwise Interval.join a b
 
-let widen_state old next =
-  Array.init num_regs (fun i -> Interval.widen old.(i) next.(i))
+let widen_state old next = pointwise Interval.widen old next
 
-let equal_state a b =
-  let rec go i =
-    i >= num_regs || (Interval.equal a.(i) b.(i) && go (i + 1))
-  in
-  go 0
+let rec equal_from (a : astate) b i =
+  i >= num_regs || (Interval.equal a.(i) b.(i) && equal_from a b (i + 1))
 
-let set st r v =
-  let st = Array.copy st in
-  if r <> 0 then st.(r) <- v;
-  st
+let equal_state a b = a == b || equal_from a b 0
+
+(* Writes to [r0] are dropped: it is pinned to 0. *)
+let set (st : astate) r v = if r <> 0 then st.(r) <- v
 
 let alu_interval op a b =
   match (op : Isa.Instr.alu_op) with
@@ -51,36 +69,51 @@ let alu_interval op a b =
   | Isa.Instr.Srl -> Interval.shift_right_logical a b
   | Isa.Instr.Slt -> Interval.slt a b
 
+(* [ins]'s effect on a non-bottom register file of the caller's own,
+   in place.  No transfer turns a non-bottom state into a bottom one:
+   every interval operation on non-empty operands is non-empty. *)
+let exec_instr ~call_clobbers ins st =
+  match (ins : Isa.Instr.t) with
+  | Isa.Instr.Alu (op, rd, rs1, rs2) ->
+      set st rd (alu_interval op st.(rs1) st.(rs2))
+  | Isa.Instr.Alui (op, rd, rs1, imm) ->
+      set st rd (alu_interval op st.(rs1) (Interval.const imm))
+  | Isa.Instr.Load (_, rd, _, _) -> set st rd Interval.top
+  | Isa.Instr.Store _ | Isa.Instr.Branch _ | Isa.Instr.Jump _
+  | Isa.Instr.Ret | Isa.Instr.Nop | Isa.Instr.Halt ->
+      ()
+  | Isa.Instr.Call callee ->
+      (* Forget only what the callee (transitively) may write. *)
+      List.iter (fun r -> set st r Interval.top) (call_clobbers callee)
+
 let transfer_instr_with ~call_clobbers ins st =
-  if is_bottom_state st then st
-  else
-    match (ins : Isa.Instr.t) with
-    | Isa.Instr.Alu (op, rd, rs1, rs2) ->
-        set st rd (alu_interval op st.(rs1) st.(rs2))
-    | Isa.Instr.Alui (op, rd, rs1, imm) ->
-        set st rd (alu_interval op st.(rs1) (Interval.const imm))
-    | Isa.Instr.Load (_, rd, _, _) -> set st rd Interval.top
-    | Isa.Instr.Store _ | Isa.Instr.Branch _ | Isa.Instr.Jump _
-    | Isa.Instr.Ret | Isa.Instr.Nop | Isa.Instr.Halt ->
+  match (ins : Isa.Instr.t) with
+  | Isa.Instr.Store _ | Isa.Instr.Branch _ | Isa.Instr.Jump _
+  | Isa.Instr.Ret | Isa.Instr.Nop | Isa.Instr.Halt ->
+      st
+  | Isa.Instr.Alu _ | Isa.Instr.Alui _ | Isa.Instr.Load _ | Isa.Instr.Call _
+    ->
+      if is_bottom_state st then st
+      else begin
+        let st = Array.copy st in
+        exec_instr ~call_clobbers ins st;
         st
-    | Isa.Instr.Call callee ->
-        (* Forget only what the callee (transitively) may write. *)
-        List.fold_left
-          (fun st r -> set st r Interval.top)
-          (Array.copy st) (call_clobbers callee)
+      end
 
 let transfer_instr ins st =
   transfer_instr_with ~call_clobbers:(fun _ -> Clobbers.all_registers) ins st
 
+(* One bottom test and one copy per block. *)
 let transfer_block ~call_clobbers g id st =
-  let b = Cfg.Graph.block g id in
-  List.fold_left
-    (fun st i ->
-      transfer_instr_with ~call_clobbers
-        (Isa.Program.instr g.Cfg.Graph.program i)
-        st)
+  if is_bottom_state st then st
+  else begin
+    let b = Cfg.Graph.block g id in
+    let st = Array.copy st in
+    for i = b.Cfg.Block.first to b.Cfg.Block.last do
+      exec_instr ~call_clobbers (Isa.Program.instr g.Cfg.Graph.program i) st
+    done;
     st
-    (Cfg.Block.instr_indices b)
+  end
 
 (* Refine [st] along edge [e] using the branch terminating [e.src]. *)
 let refine_along g (e : Cfg.Graph.edge) st =
@@ -102,8 +135,13 @@ let refine_along g (e : Cfg.Graph.edge) st =
           | Isa.Instr.Ge, true | Isa.Instr.Lt, false ->
               Interval.refine_ge a bv
         in
-        let st = set st r1 a' in
-        set st r2 b'
+        if a' == a && b' == bv then st
+        else begin
+          let st = Array.copy st in
+          set st r1 a';
+          set st r2 b';
+          st
+        end
     | Isa.Instr.Alu _ | Isa.Instr.Alui _ | Isa.Instr.Load _
     | Isa.Instr.Store _ | Isa.Instr.Jump _ | Isa.Instr.Call _
     | Isa.Instr.Ret | Isa.Instr.Nop | Isa.Instr.Halt ->
@@ -112,18 +150,17 @@ let refine_along g (e : Cfg.Graph.edge) st =
 let analyze ?(widen_after = 3)
     ?(call_clobbers = fun _ -> Clobbers.all_registers) g =
   let n = Cfg.Graph.num_blocks g in
-  let ins = Array.init n (fun _ -> bottom_state ()) in
-  let outs = Array.init n (fun _ -> bottom_state ()) in
-  ins.(g.Cfg.Graph.entry) <- top_state ();
+  let ins = Array.make n bottom in
+  let outs = Array.make n bottom in
+  ins.(g.Cfg.Graph.entry) <- top;
   let rpo = Cfg.Graph.reverse_postorder g in
   let compute_in id =
-    if id = g.Cfg.Graph.entry then top_state ()
+    if id = g.Cfg.Graph.entry then top
     else
       List.fold_left
         (fun acc (e : Cfg.Graph.edge) ->
           join_state acc (refine_along g e outs.(e.src)))
-        (bottom_state ())
-        (Cfg.Graph.preds g id)
+        bottom (Cfg.Graph.preds g id)
   in
   (* The widening clock is keyed on the round number: the classic sweep
      incremented every block's visit count once per sweep, so its
@@ -158,9 +195,7 @@ let analyze ?(widen_after = 3)
   List.iter
     (fun id ->
       let input = compute_in id in
-      let narrowed =
-        Array.init num_regs (fun i -> Interval.meet ins.(id).(i) input.(i))
-      in
+      let narrowed = pointwise Interval.meet ins.(id) input in
       ins.(id) <- narrowed;
       outs.(id) <- transfer_block ~call_clobbers g id narrowed)
     rpo;

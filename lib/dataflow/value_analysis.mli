@@ -10,7 +10,10 @@
     loop-bound inference. *)
 
 type astate = Interval.t array
-(** One interval per register. *)
+(** One interval per register.  Every state this module returns may be
+    shared with other blocks, edges and instructions of the result (and
+    [transfer_instr] may return its argument itself), so callers must
+    never mutate one: copy it first. *)
 
 type result
 

@@ -339,7 +339,7 @@ let lattice_props =
         Cache.Acs.equal (Cache.Acs.join u t) u);
     (* [join] and [equal] short-circuit on physically shared states and
        set records, so the laws compare against an unshared copy rebuilt
-       from the same trace: that one goes through the [TagMap] merge. *)
+       from the same trace: that one goes through the set merge. *)
     QCheck.Test.make ~name:"ACS join idempotent" ~count:200 arb_state
       (fun (k, tr) ->
         let a = mk k tr in
@@ -394,6 +394,190 @@ let lattice_props =
             | Some _, None -> k1 = Cache.Acs.May)
           (Cache.Acs.lines join_then_u));
   ]
+
+(* Differential test of Cache.Acs against the map-based implementation
+   it replaced (Acs_reference): random operation sequences on both, over
+   every kind and the geometries the analyses use, compared through
+   every observer after every step.  A Pers run steers its guided
+   accesses with a Must state stepped alongside it, as the analyses do;
+   joins take an earlier state of the same run, in either order. *)
+module R = Acs_reference
+module A = Cache.Acs
+
+type acs_op =
+  | Line of int
+  | One_of of int list * bool  (** candidates, uncertain *)
+  | Guided of int list * bool
+  | Unknown
+  | Havoc
+  | Join of int * bool  (** an earlier state, on the left when [true] *)
+  | Shift of int * int  (** set, amount *)
+
+let acs_op_to_string = function
+  | Line l -> Printf.sprintf "line %d" l
+  | One_of (ls, u) ->
+      Printf.sprintf "one_of%s [%s]"
+        (if u then "?" else "")
+        (String.concat ";" (List.map string_of_int ls))
+  | Guided (ls, u) ->
+      Printf.sprintf "guided%s [%s]"
+        (if u then "?" else "")
+        (String.concat ";" (List.map string_of_int ls))
+  | Unknown -> "unknown"
+  | Havoc -> "havoc"
+  | Join (k, left) -> Printf.sprintf "join %d%s" k (if left then "" else "'")
+  | Shift (set, n) -> Printf.sprintf "shift %d by %d" set n
+
+let kind_name = function A.Must -> "must" | A.May -> "may" | A.Pers -> "pers"
+
+(* Lines crowd into the first two sets and a random one, with enough
+   tags per set to overflow every associativity. *)
+let gen_acs_case =
+  QCheck.Gen.(
+    let* kind = oneofl [ A.Must; A.May; A.Pers ] in
+    let* sets = oneofl [ 1; 2; 4; 64 ] in
+    let* assoc = oneofl [ 1; 2; 4 ] in
+    let line =
+      let* set =
+        oneof [ return 0; return (1 mod sets); int_bound (sets - 1) ]
+      in
+      let* tag = int_bound ((2 * assoc) + 1) in
+      return ((tag * sets) + set)
+    in
+    let candidates = list_size (int_range 1 4) line in
+    let op =
+      frequency
+        [
+          (3, map (fun l -> Line l) line);
+          (4, map2 (fun ls u -> One_of (ls, u)) candidates bool);
+          (3, map2 (fun ls u -> Guided (ls, u)) candidates bool);
+          (1, return Unknown);
+          (1, return Havoc);
+          (3, map2 (fun k left -> Join (k, left)) nat bool);
+          ( 1,
+            map2
+              (fun set n -> Shift (set, n))
+              (int_bound (sets - 1))
+              (int_range 0 3) );
+        ]
+    in
+    let* ops = list_size (int_range 1 30) op in
+    return (kind, sets, assoc, ops))
+
+let print_acs_case (kind, sets, assoc, ops) =
+  Printf.sprintf "%s %dx%d: %s" (kind_name kind) sets assoc
+    (String.concat ", " (List.map acs_op_to_string ops))
+
+(* One run's state in both implementations, with the Must state that
+   guides a Pers run ([None] otherwise). *)
+type acs_pair = { r : R.t; a : A.t; guide : (R.t * A.t) option }
+
+let acs_step history p op =
+  let guide_step f g = Option.map (fun (rm, am) -> (f rm, g am)) p.guide in
+  match op with
+  | Line l ->
+      {
+        r = R.access_line p.r l;
+        a = A.access_line p.a l;
+        guide =
+          guide_step
+            (fun m -> R.access_line m l)
+            (fun m -> A.access_line m l);
+      }
+  | One_of (ls, uncertain) | Guided (ls, uncertain) -> (
+      let guide =
+        guide_step
+          (fun m -> R.access_one_of ~uncertain m ls)
+          (fun m -> A.access_one_of ~uncertain m ls)
+      in
+      match (op, p.guide) with
+      | Guided _, Some (rm, am) ->
+          {
+            r = R.access_one_of_guided ~uncertain p.r ~must:rm ls;
+            a = A.access_one_of_guided ~uncertain p.a ~must:am ls;
+            guide;
+          }
+      | _ ->
+          {
+            r = R.access_one_of ~uncertain p.r ls;
+            a = A.access_one_of ~uncertain p.a ls;
+            guide;
+          })
+  | Unknown ->
+      {
+        r = R.access_unknown p.r;
+        a = A.access_unknown p.a;
+        guide = guide_step R.access_unknown A.access_unknown;
+      }
+  | Havoc ->
+      { r = R.havoc p.r; a = A.havoc p.a; guide = guide_step R.havoc A.havoc }
+  | Join (k, left) ->
+      let h = List.nth history (k mod List.length history) in
+      let r, a =
+        if left then (R.join p.r h.r, A.join p.a h.a)
+        else (R.join h.r p.r, A.join h.a p.a)
+      in
+      let guide =
+        match (p.guide, h.guide) with
+        | Some (rm, am), Some (hr, ha) ->
+            Some
+              (if left then (R.join rm hr, A.join am ha)
+               else (R.join hr rm, A.join ha am))
+        | _ -> None
+      in
+      { r; a; guide }
+  | Shift (set, n) ->
+      {
+        r = R.shift_set p.r ~set n;
+        a = A.shift_set p.a ~set n;
+        guide =
+          guide_step
+            (fun m -> R.shift_set m ~set n)
+            (fun m -> A.shift_set m ~set n);
+      }
+
+(* Both implementations answer every observer alike: tracked lines, the
+   age of every line the run may touch, every universe flag, the
+   printer, and equality with every earlier state of the run. *)
+let acs_agree ~sets ~assoc history (r, a) =
+  let probes = List.init (sets * ((2 * assoc) + 2)) Fun.id in
+  R.lines r = A.lines a
+  && List.for_all (fun l -> R.age_of_line r l = A.age_of_line a l) probes
+  && List.for_all
+       (fun set ->
+         R.universe r ~set = A.universe a ~set
+         && R.lines_of_set r ~set = A.lines_of_set a ~set)
+       (List.init sets Fun.id)
+  && Format.asprintf "%a" R.pp r = Format.asprintf "%a" A.pp a
+  && List.for_all (fun (hr, ha) -> R.equal r hr = A.equal a ha) history
+
+let prop_acs_reference =
+  QCheck.Test.make ~name:"random operation sequences agree" ~count:400
+    (QCheck.make ~print:print_acs_case gen_acs_case)
+    (fun (kind, sets, assoc, ops) ->
+      let c = cfg ~sets ~assoc in
+      let start =
+        {
+          r = R.empty c kind;
+          a = A.empty c kind;
+          guide =
+            (if kind = A.Pers then Some (R.empty c A.Must, A.empty c A.Must)
+             else None);
+        }
+      in
+      let pairs p =
+        (p.r, p.a) :: (match p.guide with Some g -> [ g ] | None -> [])
+      in
+      let rec run history p = function
+        | [] -> true
+        | op :: rest ->
+            let q = acs_step history p op in
+            let history = q :: history in
+            let seen = List.concat_map pairs history in
+            List.for_all (acs_agree ~sets ~assoc seen) (pairs q)
+            && run history q rest
+      in
+      run [ start ] start ops)
 
 let test_guided_pers_multi_line_loop () =
   (* Two same-set lines cycled in a 2-way set: the naive always-age rule
@@ -972,4 +1156,5 @@ let () =
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           ([ prop_must_sound; prop_may_sound ] @ lattice_props) );
+      ("acs reference", [ QCheck_alcotest.to_alcotest prop_acs_reference ]);
     ]

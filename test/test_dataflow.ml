@@ -220,6 +220,90 @@ let prop_states_before_instrs =
             (List.init (Cfg.Graph.num_blocks g) Fun.id))
         (Cfg.Callgraph.bottom_up cg))
 
+(* The analysis transfers a block in place on one copy of its input;
+   folding the exposed one-instruction transfer over the block from its
+   stored input must give the stored output, on every block of every
+   procedure, with the default (forget-everything) call clobbers. *)
+let prop_block_out_is_fold =
+  QCheck.Test.make ~name:"block_out folds transfer_instr over the block"
+    ~count:60
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_range 0 999))
+    (fun index ->
+      let t = Fuzz.Generator.generate ~seed:9 ~index () in
+      let program = t.Fuzz.Generator.program in
+      let cg = Cfg.Callgraph.build program in
+      List.for_all
+        (fun (_, g) ->
+          let va = Dataflow.Value_analysis.analyze g in
+          List.for_all
+            (fun id ->
+              let folded =
+                List.fold_left
+                  (fun st i ->
+                    Dataflow.Value_analysis.transfer_instr
+                      (Isa.Program.instr program i)
+                      st)
+                  (Dataflow.Value_analysis.block_in va id)
+                  (Cfg.Block.instr_indices (Cfg.Graph.block g id))
+              in
+              folded = Dataflow.Value_analysis.block_out va id)
+            (List.init (Cfg.Graph.num_blocks g) Fun.id))
+        (Cfg.Callgraph.bottom_up cg))
+
+(* [Interval.equal] and [Interval.is_bottom] match on constructors;
+   they must answer what structural equality answers, register by
+   register over whole states, including states with one bottom
+   register, where a transfer must leave the state as it is.  The
+   second state rebuilds every interval of the first (equal but not
+   shared) and then may change one register. *)
+let prop_interval_equal_is_structural =
+  let bound =
+    QCheck.Gen.(
+      frequency
+        [
+          (1, return I.Neg_inf);
+          (1, return I.Pos_inf);
+          (4, map (fun n -> I.Finite n) (int_range (-3) 3));
+        ])
+  in
+  let interval =
+    QCheck.Gen.(
+      frequency
+        [ (1, return I.bottom); (6, map2 I.of_bounds bound bound) ])
+  in
+  let rebuild v =
+    if I.is_bottom v then I.bottom else I.of_bounds (I.lower v) (I.upper v)
+  in
+  let gen =
+    QCheck.Gen.(
+      let n = Isa.Instr.num_regs in
+      let* s1 = array_size (return n) interval in
+      let* bottom_at = opt (int_range 1 (n - 1)) in
+      let s1 = Array.map (fun v -> if I.is_bottom v then I.top else v) s1 in
+      Option.iter (fun r -> s1.(r) <- I.bottom) bottom_at;
+      let* change = opt (pair (int_range 0 (n - 1)) interval) in
+      let s2 = Array.map rebuild s1 in
+      Option.iter (fun (r, v) -> s2.(r) <- v) change;
+      return (s1, s2))
+  in
+  let print (s1, s2) =
+    Format.asprintf "%a / %a" Dataflow.Value_analysis.pp_astate s1
+      Dataflow.Value_analysis.pp_astate s2
+  in
+  QCheck.Test.make ~name:"interval equal and is_bottom are structural"
+    ~count:500 (QCheck.make ~print gen) (fun (s1, s2) ->
+      Array.for_all2 (fun a b -> I.equal a b = (a = b)) s1 s2
+      && Array.for_all (fun v -> I.is_bottom v = (v = I.bottom)) s1
+      && Array.for_all2 I.equal s1 s2 = (s1 = s2)
+      &&
+      let bottom = Array.exists I.is_bottom s1 in
+      let step =
+        Dataflow.Value_analysis.transfer_instr
+          (Isa.Instr.Alui (Isa.Instr.Add, 1, 2, 5))
+          s1
+      in
+      (not bottom) || step = s1)
+
 let test_va_branch_refinement () =
   let g, _, _, va =
     analyze_all
@@ -630,6 +714,8 @@ let () =
           Alcotest.test_case "branch refinement" `Quick
             test_va_branch_refinement;
           QCheck_alcotest.to_alcotest prop_states_before_instrs;
+          QCheck_alcotest.to_alcotest prop_block_out_is_fold;
+          QCheck_alcotest.to_alcotest prop_interval_equal_is_structural;
         ] );
       ( "loop bounds",
         [
