@@ -20,8 +20,14 @@
    wall times, the simulator section (per approach mode, total simulated
    cycles and wall time under both interpreters), and the context-sweep
    section: the full 8-mode analysis sweep per catalog program, fresh
-   per mode versus one shared mode-invariant context pack.  Both solver
-   stacks must agree on every WCET and BCET, both interpreters must be
+   per mode versus one shared mode-invariant context pack.  The analyses
+   always run the production LP stack; the reference column re-solves
+   every procedure's WCET and BCET system ([Core.Ipet.model], with the
+   block costs the analysis installed) with the dense cold-start stack
+   of [Lp_reference] and charges only that stack's own counters, and the
+   refinement section re-solves each iteration's cut system from scratch
+   ([Lp.Simplex.prepare] with the cut rows of [Core.Ipet.cut_row]).  Both
+   solver stacks must agree on every optimum, both interpreters must be
    bit-identical on every run (cycles, attribution vectors, per-block
    tables, architectural state), the block interpreter must clear a 3x
    aggregate throughput gate, and the shared-context sweep must be
@@ -54,6 +60,7 @@ let spec =
   ]
 
 let l2_default = Cache.Config.make ~sets:64 ~assoc:4 ~line_size:16
+let platform = Core.Platform.single_core ~l2:l2_default ()
 
 (* The modes that run on a multicore system: every mode but solo. *)
 let system_modes = List.filter (fun m -> m <> Core.Mode.Solo) Core.Mode.all
@@ -69,14 +76,23 @@ type counters = {
   bcet : int;
 }
 
-(* One analysis run (WCET + BCET) under a given solver/strategy pair,
-   with every per-domain counter read before and after.  Runs on the
-   calling domain so the DLS counters are coherent. *)
-let measure ~solver ~strategy ~reps (b : B.t) =
-  let platform = Core.Platform.single_core ~l2:l2_default () in
+(* Minimum wall time of [reps] runs of [f]. *)
+let best_of ~reps f =
+  let best = ref infinity in
+  for _ = 1 to reps do
+    let t0 = Sys.time () in
+    f ();
+    best := Float.min !best (Sys.time () -. t0)
+  done;
+  !best
+
+(* One analysis run (WCET + BCET) under a fixpoint strategy, with every
+   per-domain counter read before and after.  Runs on the calling
+   domain so the DLS counters are coherent. *)
+let measure ~strategy ~reps (b : B.t) =
   let read () =
-    ( Lp.Simplex.pivots () + Lp.Reference.pivots (),
-      Lp.Ilp.nodes_explored () + Lp.Reference.ilp_nodes (),
+    ( Lp.Simplex.pivots (),
+      Lp.Ilp.nodes_explored (),
       Dataflow.Worklist.pops (),
       Dataflow.Worklist.transfers (),
       Cache.Analysis.fixpoint_iterations () )
@@ -84,30 +100,88 @@ let measure ~solver ~strategy ~reps (b : B.t) =
   Dataflow.Worklist.with_strategy strategy @@ fun () ->
   let p0, n0, pop0, tr0, sw0 = read () in
   let t0 = Sys.time () in
-  let w = Core.Wcet.analyze ~annot:b.B.annot ~solver platform b.B.program in
-  let bc = Core.Bcet.analyze ~annot:b.B.annot ~solver platform b.B.program in
+  let w = Core.Wcet.analyze ~annot:b.B.annot platform b.B.program in
+  let bc = Core.Bcet.analyze ~annot:b.B.annot platform b.B.program in
   let t1 = Sys.time () in
   let p1, n1, pop1, tr1, sw1 = read () in
   (* Extra repetitions refine the wall time only; counters come from the
      first (they are identical across reps). *)
-  let wall = ref (t1 -. t0) in
-  for _ = 2 to reps do
-    let t0 = Sys.time () in
-    ignore (Core.Wcet.analyze ~annot:b.B.annot ~solver platform b.B.program);
-    ignore (Core.Bcet.analyze ~annot:b.B.annot ~solver platform b.B.program);
-    let t1 = Sys.time () in
-    wall := Float.min !wall (t1 -. t0)
-  done;
+  let wall =
+    Float.min (t1 -. t0)
+      (best_of ~reps:(reps - 1) (fun () ->
+           ignore (Core.Wcet.analyze ~annot:b.B.annot platform b.B.program);
+           ignore (Core.Bcet.analyze ~annot:b.B.annot platform b.B.program)))
+  in
   {
     pivots = p1 - p0;
     ilp_nodes = n1 - n0;
     pops = pop1 - pop0;
     transfers = tr1 - tr0;
     sweeps = sw1 - sw0;
-    wall_ms = !wall *. 1000.;
+    wall_ms = wall *. 1000.;
     wcet = w.Core.Wcet.wcet;
     bcet = bc.Core.Bcet.bcet;
   }
+
+(* The reference stack's LP work: every procedure's WCET and BCET system,
+   with the block costs the analysis installed ([Core.Ipet.model]),
+   solved again by the dense cold-start stack.  Only that stack's own
+   counters are charged.  Returns its pivots, nodes and best wall time,
+   and the procedures whose optimum differs from the production one. *)
+let reference_solve ~reps (b : B.t) =
+  let ctx = Core.Context.of_platform ~annot:b.B.annot platform b.B.program in
+  let w = Core.Wcet.analyze_with ~ctx platform in
+  let bc = Core.Bcet.analyze_with ~ctx platform in
+  let systems =
+    List.concat_map
+      (fun (name, (p : Core.Context.proc)) ->
+        let pw = List.assoc name w.Core.Wcet.procs in
+        let pb = List.assoc name bc.Core.Bcet.procs in
+        (* A BCET block costs its own optimistic vector plus its callee's
+           BCET, as [Core.Bcet.analyze_with] sums it. *)
+        let bcet_cost id =
+          Pipeline.Cost.Vec.total pb.Core.Bcet.attrib.(id)
+          +
+          match Cfg.Graph.callee_of_block p.Core.Context.graph id with
+          | Some callee ->
+              (List.assoc callee bc.Core.Bcet.procs).Core.Bcet.bcet
+          | None -> 0
+        in
+        [
+          ( name ^ " wcet",
+            Lazy.force p.Core.Context.ipet_wcet,
+            (fun id -> pw.Core.Wcet.block_costs.(id)),
+            pw.Core.Wcet.ipet.Core.Ipet.wcet );
+          ( name ^ " bcet",
+            Lazy.force p.Core.Context.ipet_bcet,
+            bcet_cost,
+            -pb.Core.Bcet.ipet.Core.Ipet.wcet );
+        ])
+      ctx.Core.Context.procs
+  in
+  let solve_all () =
+    List.filter_map
+      (fun (what, prepared, block_cost, expected) ->
+        match
+          Lp_reference.solve_ilp (Core.Ipet.model prepared ~block_cost)
+        with
+        | Lp_reference.Ilp_optimal (o, _)
+          when Lp.Q.equal o (Lp.Q.of_int expected) ->
+            None
+        | _ -> Some what)
+      systems
+  in
+  let p0 = Lp_reference.pivots () and n0 = Lp_reference.ilp_nodes () in
+  let t0 = Sys.time () in
+  let disagree = solve_all () in
+  let t1 = Sys.time () in
+  let pivots = Lp_reference.pivots () - p0 in
+  let nodes = Lp_reference.ilp_nodes () - n0 in
+  let wall =
+    Float.min (t1 -. t0)
+      (best_of ~reps:(reps - 1) (fun () -> ignore (solve_all ())))
+  in
+  (pivots, nodes, wall *. 1000., disagree)
 
 let ratio num den = if den = 0 then 1.0 else float_of_int num /. float_of_int den
 
@@ -134,7 +208,6 @@ let obs_overhead_fraction () =
   done;
   let t_span = Sys.time () -. t0 in
   let per_call = Float.max 0. (t_span -. t_plain) /. float_of_int iters in
-  let platform = Core.Platform.single_core ~l2:l2_default () in
   let catalog () =
     List.iter
       (fun (b : B.t) ->
@@ -175,7 +248,6 @@ let obs_overhead_fraction () =
    analysis wall time, since it is the piece a disabled-by-default
    [attribute] run adds. *)
 let attrib_overhead_fraction () =
-  let platform = Core.Platform.single_core ~l2:l2_default () in
   let suite = B.suite () in
   let t0 = Sys.time () in
   let analyses =
@@ -487,9 +559,9 @@ let ctx_sweep_bench ~reps suite =
    so refined-vs-unrefined is one analysis per cell and the comparison
    can never be skewed by front-end drift.  The gates: refinement never
    loosens any bound anywhere, it strictly tightens at least three
-   catalog programs, and (measured solo with [measure_cold]) every
-   refinement iteration's warm-started pivots stay at or below the
-   from-scratch re-solve of the same cut system. *)
+   catalog programs, and (measured solo) every refinement iteration's
+   warm-started pivots stay at or below the from-scratch re-solve of the
+   same cut system. *)
 
 type refine_cell = {
   rc_mode : string;
@@ -554,35 +626,64 @@ let refine_bench () =
   let rows =
     List.map (fun (b : B.t) -> (b.B.name, sweep b)) (B.suite ())
   in
-  (* Warm-vs-cold pivot differential, solo per program: every iteration
-     re-solved from scratch alongside the warm path (equal optima are
-     asserted inside refine_prepared). *)
+  (* Warm-vs-cold pivot differential, solo per program: iteration [i]'s
+     cut system re-solved from scratch (the procedure's model prepared
+     afresh with the cut rows of iterations 1..i, then branch and bound),
+     whose optimum must equal the warm path's. *)
   let iter_rows =
     List.concat_map
       (fun (b : B.t) ->
-        let w =
-          Core.Wcet.analyze ~annot:b.B.annot ~refine:cfg ~measure_cold:true
-            solo_platform b.B.program
+        let ctx =
+          Core.Context.of_platform ~annot:b.B.annot solo_platform b.B.program
         in
+        let w = Core.Wcet.analyze_with ~refine:cfg ~ctx solo_platform in
         List.concat_map
-          (fun (proc, (pr : Core.Wcet.proc_result)) ->
+          (fun (proc, (p : Core.Context.proc)) ->
+            let pr = List.assoc proc w.Core.Wcet.procs in
             match pr.Core.Wcet.refine with
             | None -> []
             | Some s ->
-                List.mapi
-                  (fun i (it : Core.Ipet.refine_iteration) ->
-                    {
-                      rw_bench = b.B.name;
-                      rw_proc = proc;
-                      rw_index = i + 1;
-                      rw_warm = it.Core.Ipet.ri_warm_pivots;
-                      rw_cold =
-                        (match it.Core.Ipet.ri_cold_pivots with
-                        | Some c -> c
-                        | None -> failwith "measure_cold recorded no pivots");
-                    })
-                  s.Core.Ipet.rf_iterations)
-          w.Core.Wcet.procs)
+                let prepared = Lazy.force p.Core.Context.ipet_wcet in
+                let m =
+                  Core.Ipet.model prepared ~block_cost:(fun id ->
+                      pr.Core.Wcet.block_costs.(id))
+                in
+                snd
+                  (List.fold_left_map
+                     (fun rows (it : Core.Ipet.refine_iteration) ->
+                       let extra =
+                         rows
+                         @ [ Core.Ipet.cut_row prepared it.Core.Ipet.ri_cut ]
+                       in
+                       let index = List.length extra in
+                       let p0 = Lp.Simplex.pivots () in
+                       let cold =
+                         Lp.Ilp.solve_result_prepared
+                           (Lp.Simplex.prepare m ~extra)
+                           m
+                       in
+                       let rw_cold = Lp.Simplex.pivots () - p0 in
+                       (match cold.Lp.Ilp.outcome with
+                       | Lp.Ilp.Optimal (o, _)
+                         when Lp.Q.equal o (Lp.Q.of_int it.Core.Ipet.ri_wcet)
+                         ->
+                           ()
+                       | _ ->
+                           Printf.eprintf
+                             "FAIL %s/%s: refinement iteration %d's cold \
+                              re-solve misses its bound %d\n"
+                             b.B.name proc index it.Core.Ipet.ri_wcet;
+                           exit 1);
+                       ( extra,
+                         {
+                           rw_bench = b.B.name;
+                           rw_proc = proc;
+                           rw_index = index;
+                           rw_warm = it.Core.Ipet.ri_warm_pivots;
+                           rw_cold;
+                         } ))
+                     [] s.Core.Ipet.rf_iterations))
+          ctx.Core.Context.procs)
       (B.suite ())
   in
   (rows, iter_rows)
@@ -605,14 +706,33 @@ let () =
   let rows =
     List.map
       (fun (b : B.t) ->
-        let sparse = measure ~solver:`Sparse ~strategy:`Worklist ~reps b in
-        let dense = measure ~solver:`Reference ~strategy:`Sweep ~reps b in
-        if sparse.wcet <> dense.wcet || sparse.bcet <> dense.bcet then begin
+        let sparse = measure ~strategy:`Worklist ~reps b in
+        let sweep = measure ~strategy:`Sweep ~reps b in
+        let ref_pivots, ref_nodes, ref_ms, disagree =
+          reference_solve ~reps b
+        in
+        if sparse.wcet <> sweep.wcet || sparse.bcet <> sweep.bcet then begin
           Printf.eprintf
-            "FAIL %s: solver stacks disagree (sparse %d/%d vs reference %d/%d)\n"
-            b.B.name sparse.wcet sparse.bcet dense.wcet dense.bcet;
+            "FAIL %s: fixpoint strategies disagree (worklist %d/%d vs sweep \
+             %d/%d)\n"
+            b.B.name sparse.wcet sparse.bcet sweep.wcet sweep.bcet;
           exit 1
         end;
+        if disagree <> [] then begin
+          Printf.eprintf "FAIL %s: solver stacks disagree on %s\n" b.B.name
+            (String.concat ", " disagree);
+          exit 1
+        end;
+        (* The reference column: the sweep schedule's fixpoint work and
+           the dense stack's LP work. *)
+        let dense =
+          {
+            sweep with
+            pivots = ref_pivots;
+            ilp_nodes = ref_nodes;
+            wall_ms = sweep.wall_ms +. ref_ms;
+          }
+        in
         (b.B.name, sparse, dense))
       suite
   in

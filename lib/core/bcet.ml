@@ -65,7 +65,7 @@ let best_block_vec (lat : Pipeline.Latencies.t) g id =
    IPET systems.  No cache or arbiter state is read — the optimistic
    cost model assumes all-hit — so one context serves BCET alongside
    every WCET mode. *)
-let analyze_with ?(solver = `Sparse) ~ctx (platform : Platform.t) =
+let analyze_with ~ctx (platform : Platform.t) =
   Context.check_compatible ctx platform;
   let fail fmt =
     Printf.ksprintf (fun s -> raise (Wcet.Not_analysable s)) fmt
@@ -97,7 +97,6 @@ let analyze_with ?(solver = `Sparse) ~ctx (platform : Platform.t) =
                 Ipet.solve_prepared
                   (Lazy.force p.Context.ipet_bcet)
                   ~block_cost:(fun id -> Vec.total full_vecs.(id))
-                  ~solver ()
               with Ipet.Flow_infeasible msg -> fail "%s: %s" name msg)
         in
         let bcet_vec =
@@ -119,10 +118,9 @@ let analyze_with ?(solver = `Sparse) ~ctx (platform : Platform.t) =
   let root = List.assoc ctx.Context.root procs in
   { program; procs; bcet = root.bcet }
 
-let analyze ?(annot = Dataflow.Annot.empty) ?(solver = `Sparse)
-    (platform : Platform.t) program =
+let analyze ?(annot = Dataflow.Annot.empty) (platform : Platform.t) program =
   let ctx = Context.of_platform ~annot platform program in
-  analyze_with ~solver ~ctx platform
+  analyze_with ~ctx platform
 
 let analytic_quotient ~bcet ~wcet =
   if wcet <= 0 then 1.0

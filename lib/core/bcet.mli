@@ -29,11 +29,7 @@ type t = {
   bcet : int;
 }
 
-val analyze_with :
-  ?solver:[ `Sparse | `Reference ] ->
-  ctx:Context.t ->
-  Platform.t ->
-  t
+val analyze_with : ctx:Context.t -> Platform.t -> t
 (** Best-case back end over a prebuilt {!Context.t}.  Only the
     mode-invariant part of the context is consumed (graphs, loop bounds,
     prepared minimize-direction IPET systems) — the optimistic cost
@@ -41,15 +37,10 @@ val analyze_with :
     alongside every WCET mode.  Bit-identical to {!analyze}.
     @raise Invalid_argument on a geometry-incompatible platform. *)
 
-val analyze :
-  ?annot:Dataflow.Annot.t ->
-  ?solver:[ `Sparse | `Reference ] ->
-  Platform.t ->
-  Isa.Program.t ->
-  t
+val analyze : ?annot:Dataflow.Annot.t -> Platform.t -> Isa.Program.t -> t
 (** @raise Wcet.Not_analysable on the same conditions as {!Wcet.analyze}
-    (the flow facts are shared).  [solver] and the phase spans as in
-    {!Wcet.analyze}; the back end records only [ipet-solve]. *)
+    (the flow facts are shared).  Phase spans as in {!Wcet.analyze}; the
+    back end records only [ipet-solve]. *)
 
 val analytic_quotient : bcet:int -> wcet:int -> float
 (** [bcet / wcet], clamped to [0, 1]. *)

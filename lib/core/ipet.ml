@@ -2,13 +2,13 @@ type result = { wcet : int; block_counts : int array }
 
 exception Flow_infeasible of string
 
-(* Shared model construction.  The constraint system — flow conservation,
-   loop bounds, exclusivity rows — depends on the CFG, bounds, and
-   direction but NOT on block costs, so it is built once here and used by
-   both the one-shot [solve] and the multi-objective [prepare] path.  The
-   construction order (variables, then rows) is fixed and deterministic:
-   two builds over the same inputs produce models whose tableaus, and
-   hence pivot trajectories, are identical. *)
+(* Model construction.  The constraint system — flow conservation, loop
+   bounds, exclusivity rows — depends on the CFG, bounds, and direction
+   but NOT on block costs, so [prepare] builds it once and every solve
+   installs its own objective.  The construction order (variables, then
+   rows) is fixed and deterministic: two builds over the same inputs
+   produce models whose tableaus, and hence pivot trajectories, are
+   identical. *)
 
 type built = {
   b_model : Lp.Model.t;
@@ -133,28 +133,6 @@ let result_of built ~sign outcome =
         (Flow_infeasible
            "IPET objective unbounded: a loop is missing its bound")
 
-let solve g ~loop_bounds ~block_cost ?(mutually_exclusive = [])
-    ?(direction = `Maximize) ?(solver = `Sparse) () =
-  let dom = Cfg.Dominators.compute g in
-  let loops = Cfg.Loops.analyze g dom in
-  let built = build g ~loops ~loop_bounds ~mutually_exclusive ~direction in
-  let m = built.b_model in
-  let sign = match direction with `Maximize -> 1 | `Minimize -> -1 in
-  Lp.Model.set_objective m (objective_of built ~block_cost ~sign);
-  let outcome =
-    match solver with
-    | `Sparse -> Lp.Ilp.solve m
-    | `Reference -> (
-        (* Dense cold-start baseline, kept for A/B benchmarking: the
-           objective value (hence the WCET) is identical by LP duality,
-           only the work to reach it differs. *)
-        match Lp.Reference.solve_ilp m with
-        | Lp.Reference.Ilp_optimal (o, s) -> Lp.Ilp.Optimal (o, s)
-        | Lp.Reference.Ilp_unbounded -> Lp.Ilp.Unbounded
-        | Lp.Reference.Ilp_infeasible -> Lp.Ilp.Infeasible)
-  in
-  result_of built ~sign outcome
-
 (* ------------------------------------------------------------------ *)
 (* Prepared path: one constraint system, many objectives               *)
 (* ------------------------------------------------------------------ *)
@@ -175,20 +153,22 @@ let prepare g ~loops ~loop_bounds ?(mutually_exclusive = [])
     p_snapshot = Lp.Simplex.prepare built.b_model ~extra:[];
   }
 
-let solve_prepared p ~block_cost ?(solver = `Sparse) () =
+let model p ~block_cost =
   let m = p.p_built.b_model in
   Lp.Model.set_objective m
     (objective_of p.p_built ~block_cost ~sign:p.p_sign);
-  let outcome =
-    match solver with
-    | `Sparse -> (Lp.Ilp.solve_result_prepared p.p_snapshot m).Lp.Ilp.outcome
-    | `Reference -> (
-        match Lp.Reference.solve_ilp m with
-        | Lp.Reference.Ilp_optimal (o, s) -> Lp.Ilp.Optimal (o, s)
-        | Lp.Reference.Ilp_unbounded -> Lp.Ilp.Unbounded
-        | Lp.Reference.Ilp_infeasible -> Lp.Ilp.Infeasible)
-  in
-  result_of p.p_built ~sign:p.p_sign outcome
+  m
+
+let solve_prepared p ~block_cost =
+  let m = model p ~block_cost in
+  result_of p.p_built ~sign:p.p_sign
+    (Lp.Ilp.solve_result_prepared p.p_snapshot m).Lp.Ilp.outcome
+
+let solve g ~loop_bounds ~block_cost ?mutually_exclusive ?direction () =
+  let loops = Cfg.Loops.analyze g (Cfg.Dominators.compute g) in
+  solve_prepared
+    (prepare g ~loops ~loop_bounds ?mutually_exclusive ?direction ())
+    ~block_cost
 
 (* ------------------------------------------------------------------ *)
 (* Infeasible-path refinement: CEGAR over the prepared tableau         *)
@@ -198,7 +178,6 @@ type refine_iteration = {
   ri_wcet : int;
   ri_cut : Refine.cut;
   ri_warm_pivots : int;
-  ri_cold_pivots : int option;
 }
 
 type refine_stats = {
@@ -217,14 +196,16 @@ let flow_of built solution (e : Cfg.Graph.edge) =
   | Some v -> solution.((v : Lp.Model.var :> int))
   | None -> 0
 
-let cut_terms built (cut : Refine.cut) =
-  List.filter_map
-    (fun (e : Cfg.Graph.edge) ->
-      Option.map
-        (fun v -> (Lp.Q.one, v))
-        (Hashtbl.find_opt built.b_edge_vars
-           (e.Cfg.Graph.src, e.Cfg.Graph.dst, e.Cfg.Graph.kind)))
-    cut.Refine.edges
+let cut_row p (cut : Refine.cut) =
+  ( List.filter_map
+      (fun (e : Cfg.Graph.edge) ->
+        Option.map
+          (fun v -> (Lp.Q.one, v))
+          (Hashtbl.find_opt p.p_built.b_edge_vars
+             (e.Cfg.Graph.src, e.Cfg.Graph.dst, e.Cfg.Graph.kind)))
+      cut.Refine.edges,
+    Lp.Model.Le,
+    Lp.Q.of_int cut.Refine.bound )
 
 (* The CEGAR loop.  Iteration 0 is the ordinary prepared replay (so a
    refined run's starting point is bit-identical to the unrefined
@@ -235,27 +216,18 @@ let cut_terms built (cut : Refine.cut) =
    re-runs branch-and-bound from the extended state.  Cuts accumulate by
    chaining states, so iteration [i]'s tableau carries all [i] cuts.
 
-   [measure_cold] additionally re-solves each iteration's cut system
-   from scratch ([Simplex.solve_state ~extra] — two-phase, no snapshot)
-   purely for pivot accounting and as a differential oracle: the cold
-   optimum must equal the warm one.
-
    Only the maximizing (WCET) direction refines: cuts shrink the
    feasible flows, which tightens a maximum but would *raise* a
    minimum — sound for BCET too, but out of scope here, so the
    minimizing direction returns the plain solve unrefined. *)
-let refine_prepared p ~block_cost ~candidates ~(config : Refine.config)
-    ?(measure_cold = false) () =
-  let built = p.p_built in
-  let m = built.b_model in
-  Lp.Model.set_objective m (objective_of built ~block_cost ~sign:p.p_sign);
-  let no_refine outcome =
-    let r = result_of built ~sign:p.p_sign outcome in
-    (r, { rf_initial = r.wcet; rf_iterations = []; rf_exhausted = false })
-  in
+let refine_prepared p ~block_cost ~candidates ~(config : Refine.config) =
   if p.p_sign <> 1 || candidates = [] || config.Refine.max_iterations = 0
-  then no_refine (Lp.Ilp.solve_result_prepared p.p_snapshot m).Lp.Ilp.outcome
+  then
+    let r = solve_prepared p ~block_cost in
+    (r, { rf_initial = r.wcet; rf_iterations = []; rf_exhausted = false })
   else begin
+    let built = p.p_built in
+    let m = model p ~block_cost in
     let ilp root =
       match root with
       | Lp.Simplex.Optimal _, Some _ ->
@@ -269,17 +241,6 @@ let refine_prepared p ~block_cost ~candidates ~(config : Refine.config)
       match outcome0 with
       | Lp.Ilp.Optimal (obj, _) -> Lp.Q.to_int_exn obj
       | _ -> 0
-    in
-    let cold_solve applied =
-      let extra =
-        List.rev_map
-          (fun (c : Refine.cut) ->
-            (cut_terms built c, Lp.Model.Le, Lp.Q.of_int c.Refine.bound))
-          applied
-      in
-      let p0 = Lp.Simplex.pivots () in
-      let outcome = ilp (Lp.Simplex.solve_state m ~extra) in
-      (outcome, Lp.Simplex.pivots () - p0)
     in
     let rec loop iter root applied rev_iters outcome =
       match outcome with
@@ -303,10 +264,8 @@ let refine_prepared p ~block_cost ~candidates ~(config : Refine.config)
               | Some state -> (
                   let inject () =
                     let p0 = Lp.Simplex.pivots () in
-                    let root' =
-                      Lp.Simplex.add_le state ~terms:(cut_terms built cut)
-                        ~bound:(Lp.Q.of_int cut.Refine.bound)
-                    in
+                    let terms, _, bound = cut_row p cut in
+                    let root' = Lp.Simplex.add_le state ~terms ~bound in
                     (root', ilp root', Lp.Simplex.pivots () - p0)
                   in
                   let root', outcome', warm =
@@ -332,25 +291,11 @@ let refine_prepared p ~block_cost ~candidates ~(config : Refine.config)
                   end;
                   match outcome' with
                   | Lp.Ilp.Optimal (obj, _) ->
-                      let cold =
-                        if not measure_cold then None
-                        else begin
-                          let cold_outcome, cold_pivots =
-                            cold_solve (cut :: applied)
-                          in
-                          (match cold_outcome with
-                          | Lp.Ilp.Optimal (cobj, _) ->
-                              assert (Lp.Q.equal cobj obj)
-                          | _ -> assert false);
-                          Some cold_pivots
-                        end
-                      in
                       let it =
                         {
                           ri_wcet = Lp.Q.to_int_exn obj;
                           ri_cut = cut;
                           ri_warm_pivots = warm;
-                          ri_cold_pivots = cold;
                         }
                       in
                       loop (iter + 1) root' (cut :: applied) (it :: rev_iters)

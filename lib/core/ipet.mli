@@ -6,7 +6,8 @@
     natural loop contributes [sum(back edges) <= bound * sum(entry edges)];
     the objective maximizes the sum of block costs weighted by execution
     counts.  Solved exactly with the in-repo rational simplex +
-    branch-and-bound. *)
+    branch-and-bound, always through a prepared constraint system
+    ({!prepare}, {!solve_prepared}). *)
 
 type result = {
   wcet : int;
@@ -25,15 +26,13 @@ val solve :
   block_cost:(Cfg.Block.id -> int) ->
   ?mutually_exclusive:(Cfg.Block.id * Cfg.Block.id) list ->
   ?direction:[ `Maximize | `Minimize ] ->
-  ?solver:[ `Sparse | `Reference ] ->
   unit ->
   result
-(** [mutually_exclusive (a, b)] adds [x_a + x_b <= 1] and is only accepted
-    for blocks outside all loops (operating-mode exclusions).
+(** [solve] is {!prepare} (over the graph's freshly computed loop forest)
+    followed by one {!solve_prepared}.
 
-    [solver] selects the LP/ILP engine: [`Sparse] (default) is the
-    sparse warm-started stack; [`Reference] is the dense cold-start
-    baseline kept for A/B benchmarking.  Both produce the same optimum.
+    [mutually_exclusive (a, b)] adds [x_a + x_b <= 1] and is only accepted
+    for blocks outside all loops (operating-mode exclusions).
 
     [`Maximize] (default) computes the WCET path using the loops'
     [max_back_edges]; [`Minimize] computes the BCET path, constraining
@@ -51,8 +50,8 @@ val solve :
     each [solve_prepared] re-solves with fresh costs, reusing the
     snapshot via {!Lp.Simplex.solve_prepared}.  Results are bit-identical
     to {!solve} over the same inputs — same optimum, same
-    [block_counts] — because the replayed pivot trajectory is the cold
-    one. *)
+    [block_counts] — because every replay follows the same pivot
+    trajectory. *)
 
 type prepared
 
@@ -69,16 +68,16 @@ val prepare :
     {!solve} performs internally).  The snapshot is per-direction: the
     best-case system carries extra lower-bound rows. *)
 
-val solve_prepared :
-  prepared ->
-  block_cost:(Cfg.Block.id -> int) ->
-  ?solver:[ `Sparse | `Reference ] ->
-  unit ->
-  result
-(** Same contract and exceptions as {!solve}.  [`Reference] re-solves the
-    prepared model densely from scratch (the snapshot buys nothing there;
-    kept so the differential baseline can run over prepared contexts
-    too). *)
+val solve_prepared : prepared -> block_cost:(Cfg.Block.id -> int) -> result
+(** Same contract and exceptions as {!solve}. *)
+
+val model : prepared -> block_cost:(Cfg.Block.id -> int) -> Lp.Model.t
+(** The prepared system's model with [block_cost]'s objective installed,
+    negated for the minimizing direction (the solver maximizes), so its
+    optimum is [wcet] of {!solve_prepared}, or [-wcet] when minimizing.
+    This is the model every solve of [prepared] runs; an oracle solver
+    checks the production optimum against it.  The model is shared: the
+    next [model] or solve over [prepared] replaces its objective. *)
 
 (** {1 Infeasible-path refinement}
 
@@ -97,9 +96,6 @@ type refine_iteration = {
   ri_cut : Refine.cut;  (** the cut this iteration injected *)
   ri_warm_pivots : int;
       (** simplex pivots of the warm path: [add_le] + branch and bound *)
-  ri_cold_pivots : int option;
-      (** pivots of the from-scratch re-solve of the same cut system;
-          only measured under [measure_cold] *)
 }
 
 type refine_stats = {
@@ -111,13 +107,19 @@ type refine_stats = {
 
 val refine_cuts_applied : refine_stats -> int
 
+val cut_row :
+  prepared -> Refine.cut -> Lp.Model.linexpr * Lp.Model.relation * Lp.Q.t
+(** The cut as the model row {!refine_prepared} injects: the cut's
+    edge flows summed [<=] its bound.  {!Lp.Simplex.prepare} of
+    {!model} (with the block costs the refinement used) and the rows of
+    iterations [1..i] as [~extra] gives iteration [i]'s cut system from
+    scratch; its optimum is that iteration's [ri_wcet]. *)
+
 val refine_prepared :
   prepared ->
   block_cost:(Cfg.Block.id -> int) ->
   candidates:Refine.cut list ->
   config:Refine.config ->
-  ?measure_cold:bool ->
-  unit ->
   result * refine_stats
 (** Iteration 0 replays the snapshot exactly as {!solve_prepared}, so
     [rf_initial] is bit-identical to the unrefined solve.  Candidates are
@@ -127,12 +129,8 @@ val refine_prepared :
     sharing).  The minimizing direction returns the plain solve with
     empty stats: cuts tighten a maximum but would raise a minimum.
 
-    [measure_cold] re-solves each iteration's cut system cold
-    ([Lp.Simplex.solve_state ~extra], two-phase) purely for pivot
-    accounting, asserting the cold optimum equals the warm one — the
-    differential oracle behind the [refine_iter_warm_pivots_le_cold]
-    bench gate.  Emits one [cat:"refine"] span and a cut counter per
-    iteration when tracing is on.
+    Emits one [cat:"refine"] span and a cut counter per iteration when
+    tracing is on.
     @raise Flow_infeasible as {!solve_prepared} (on the {e unrefined}
     system; a cut that empties the region stops refinement and keeps the
     last sound bound instead). *)

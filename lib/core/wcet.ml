@@ -97,8 +97,7 @@ let view_of_multilevel (platform : Platform.t) g m =
    and the IPET re-solve (via the context's prepared constraint system,
    so modes after the first pay only phase-2 pivots).  All the
    mode-invariant front-end work comes from [ctx]. *)
-let analyze_with ?(solver = `Sparse) ?bypass_key ?refine
-    ?(measure_cold = false) ~ctx platform =
+let analyze_with ?bypass_key ?refine ~ctx platform =
   Context.check_compatible ctx platform;
   let bus_wait =
     try Platform.bus_wait platform with Failure msg -> fail "%s" msg
@@ -320,7 +319,6 @@ let analyze_with ?(solver = `Sparse) ?bypass_key ?refine
             Ipet.solve_prepared
               (Lazy.force p.Context.ipet_wcet)
               ~block_cost:(fun id -> costs.(id))
-              ~solver ()
           with Ipet.Flow_infeasible msg -> fail "%s: %s" name msg)
     in
     let ipet, refine_stats =
@@ -334,7 +332,7 @@ let analyze_with ?(solver = `Sparse) ?bypass_key ?refine
                     (Lazy.force p.Context.ipet_wcet)
                     ~block_cost:(fun id -> block_costs.(id))
                     ~candidates:(Lazy.force p.Context.refine_candidates)
-                    ~config ~measure_cold ()
+                    ~config
                 with Ipet.Flow_infeasible msg -> fail "%s: %s" name msg)
           in
           (r, Some stats)
@@ -417,10 +415,9 @@ let analyze_with ?(solver = `Sparse) ?bypass_key ?refine
 (* Fresh-per-call analysis: build a context and run the back end over it
    once.  This is the differential oracle's baseline — sharing one
    context across modes must be bit-identical to this. *)
-let analyze ?(annot = Dataflow.Annot.empty) ?(solver = `Sparse) ?refine
-    ?measure_cold platform program =
+let analyze ?(annot = Dataflow.Annot.empty) ?refine platform program =
   let ctx = Context.of_platform ~annot platform program in
-  analyze_with ~solver ?refine ?measure_cold ~ctx platform
+  analyze_with ?refine ~ctx platform
 
 let footprint t =
   match Platform.l2_config t.platform with

@@ -59,10 +59,8 @@ exception Not_analysable of string
     a context are the same exception. *)
 
 val analyze_with :
-  ?solver:[ `Sparse | `Reference ] ->
   ?bypass_key:string ->
   ?refine:Refine.config ->
-  ?measure_cold:bool ->
   ctx:Context.t ->
   Platform.t ->
   t
@@ -85,9 +83,7 @@ val analyze_with :
 
 val analyze :
   ?annot:Dataflow.Annot.t ->
-  ?solver:[ `Sparse | `Reference ] ->
   ?refine:Refine.config ->
-  ?measure_cold:bool ->
   Platform.t ->
   Isa.Program.t ->
   t
@@ -97,17 +93,7 @@ val analyze :
     solve becomes the CEGAR session of {!Ipet.refine_prepared} over the
     context's shared {!Refine.candidates}, and a parallel cut-free
     pipeline fills [unrefined_wcet].  Off (the default) the analysis is
-    bit-identical to previous releases.  The refined IPET path always
-    runs the warm sparse solver; [solver] only selects the engine of the
-    plain solves.
-
-    [measure_cold] (meaningful only with [refine], default false) makes
-    each refinement iteration also re-solve its cut system cold and
-    record the pivot count in {!Ipet.refine_iteration.ri_cold_pivots} —
-    the differential oracle for the warm-start discipline.  It never
-    changes the bound (equal objectives are asserted) and is
-    instrumentation, not semantics, so it deliberately does not
-    participate in any memo salt.
+    bit-identical to previous releases.
 
     Each phase runs inside an {!Obs.span} of [cat:"phase"]: [cfg-build],
     [cfg-loops], [value-analysis] and [loop-bounds] while the context's
@@ -115,9 +101,10 @@ val analyze :
     [block-costs] and [ipet-solve].  {!Obs.Summary} folds them per name.
     Without a sink installed they cost one atomic load each.
 
-    [solver] selects the LP/ILP engine for the IPET stage, see
-    {!Ipet.solve}; results are identical, only the measured work
-    differs. *)
+    Every procedure's IPET system is solved by the one LP stack of
+    {!Lp.Ilp} over the context's prepared tableau; [Ipet.model] exposes
+    the solved model so a test or benchmark can check the optimum with a
+    differential solver. *)
 
 val footprint : t -> Cache.Shared.conflicts option
 (** Combined L2 footprint of the whole task (None without L2). *)

@@ -19,11 +19,9 @@ let find_fractional solution =
   in
   go 0
 
-(* Core branch-and-bound, parameterized over how the root relaxation is
-   solved: cold ([Simplex.solve_state]) or replayed from a prepared
-   constraint snapshot ([Simplex.solve_prepared]).  Identical pricing
-   from an identical root basis makes the two trees — and hence the
-   optimum and every node count — bit-identical. *)
+(* Core branch-and-bound from a solved root relaxation: a replay of a
+   prepared constraint snapshot ([Simplex.solve_prepared]), possibly
+   extended with cut rows ([Simplex.add_le]). *)
 let solve_result_from ?(max_nodes = 100_000) model root =
   let n = Model.num_vars model in
   let incumbent = ref None in
@@ -101,9 +99,6 @@ let solve_result_from ?(max_nodes = 100_000) model root =
       { outcome; nodes = !nodes }
   | Simplex.Optimal _, None -> assert false
 
-let solve_result_uninstrumented ?max_nodes model =
-  solve_result_from ?max_nodes model (Simplex.solve_state model ~extra:[])
-
 (* Observability wrapper: a span per branch-and-bound tree plus node
    counters and the per-solve node histogram. *)
 let instrumented model f =
@@ -119,12 +114,12 @@ let instrumented model f =
     r
   end
 
-let solve_result ?max_nodes model =
-  instrumented model (fun () -> solve_result_uninstrumented ?max_nodes model)
-
 let solve_result_prepared ?max_nodes prepared model =
   instrumented model (fun () ->
       solve_result_from ?max_nodes model (Simplex.solve_prepared prepared model))
+
+let solve_result ?max_nodes model =
+  solve_result_prepared ?max_nodes (Simplex.prepare model ~extra:[]) model
 
 let solve_result_state ?max_nodes model root =
   instrumented model (fun () -> solve_result_from ?max_nodes model root)

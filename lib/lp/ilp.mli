@@ -29,23 +29,24 @@ type outcome =
 
 type result = { outcome : outcome; nodes : int  (** search-tree nodes explored *) }
 
-val solve_result : ?max_nodes:int -> Model.t -> result
-(** [max_nodes] bounds the branch-and-bound tree size (default [100_000]).
+val solve_result_prepared :
+  ?max_nodes:int -> Simplex.prepared -> Model.t -> result
+(** Branch and bound whose root relaxation replays a {!Simplex.prepared}
+    constraint snapshot, so re-solves under new objectives skip the
+    objective-independent tableau work.  [model] must be the model the
+    snapshot was prepared from, with its objective re-set per solve.
+    [max_nodes] bounds the branch-and-bound tree size (default
+    [100_000]).
     @raise Failure if the node budget is exhausted, since a truncated search
     could silently under-approximate a WCET bound. *)
 
+val solve_result : ?max_nodes:int -> Model.t -> result
+(** [solve_result m] is
+    [solve_result_prepared (Simplex.prepare m ~extra:[]) m]: the same
+    tree, optimum and node count as any replay of [m]. *)
+
 val solve : ?max_nodes:int -> Model.t -> outcome
 (** [solve m] is [(solve_result m).outcome]. *)
-
-val solve_result_prepared :
-  ?max_nodes:int -> Simplex.prepared -> Model.t -> result
-(** Like {!solve_result}, but the root relaxation replays from a
-    {!Simplex.prepared} constraint snapshot instead of cold-starting —
-    the branch-and-bound tree, optimum, and node count are bit-identical
-    to {!solve_result} on the same model (same root basis, same
-    deterministic pricing), only the objective-independent tableau work
-    is skipped.  [model] must be the model the snapshot was prepared
-    from, with its objective re-set per solve. *)
 
 val solve_result_state :
   ?max_nodes:int ->

@@ -430,82 +430,19 @@ let cost_of_model model =
     (Model.objective model);
   cost
 
-let solve_state_uninstrumented model ~extra =
-  let rows, rhs, basis, ncols, is_art, art_rows = build_tableau model extra in
-  let n = Model.num_vars model in
-  let cost = cost_of_model model in
-  let finish tab =
-    match iterate tab with
-    | `Unbounded -> (Unbounded, None)
-    | `Optimal ->
-        ( Optimal (tab.zval, solution_of tab n),
-          Some { nvars = n; cost; tab } )
-  in
-  (* Only rows whose artificial starts at a nonzero value make the crash
-     basis infeasible; in an IPET model that is just the unit source row
-     — every flow-conservation row has rhs 0.  Phase 1 therefore
-     minimizes only those, and when there are none (all artificials
-     basic at zero) it is skipped outright. *)
-  let active = List.filter (fun i -> Q.sign rhs.(i) > 0) art_rows in
-  if active = [] then begin
-    let z, zval = phase2_z cost rows rhs basis ncols in
-    finish { rows; rhs; basis; z; zval; ncols; blocked = is_art }
-  end
-  else begin
-    let z1, zval1 = phase1_z rows rhs basis ncols active in
-    let t1 = { rows; rhs; basis; z = z1; zval = zval1; ncols; blocked = is_art } in
-    match iterate t1 with
-    | `Unbounded ->
-        (* Phase 1 is bounded above by 0 by construction. *)
-        assert false
-    | `Optimal ->
-        if Q.sign t1.zval < 0 then (Infeasible, None)
-        else begin
-          (* Remaining basic artificials all sit at zero and stay pinned
-             there through phase 2; they are only driven out if a warm
-             start later needs the basis (see [unpin_artificials]). *)
-          let z2, zval2 = phase2_z cost t1.rows t1.rhs t1.basis ncols in
-          t1.z <- z2;
-          t1.zval <- zval2;
-          finish t1
-        end
-  end
-
-(* Observability wrapper: a span per root solve plus the per-solve pivot
-   histogram.  With no sink installed this is one atomic load on top of
-   the solve. *)
-let solve_state model ~extra =
-  if not (Obs.enabled ()) then solve_state_uninstrumented model ~extra
-  else begin
-    let p0 = pivots () in
-    let r =
-      Obs.span ~cat:"lp"
-        ~args:[ ("vars", Obs.Event.Int (Model.num_vars model)) ]
-        "lp.simplex.solve"
-        (fun () -> solve_state_uninstrumented model ~extra)
-    in
-    let dp = pivots () - p0 in
-    Obs.add "lp.simplex.pivots" dp;
-    Obs.observe "lp.simplex.pivots_per_solve" dp;
-    r
-  end
-
-let solve_with model ~extra = fst (solve_state model ~extra)
-let solve model = solve_with model ~extra:[]
-
 (* ------------------------------------------------------------------ *)
 (* Prepared solves: share the objective-independent prefix              *)
 (* ------------------------------------------------------------------ *)
 
-(* Everything [solve_state] does before the phase-2 objective row is
-   installed — normalization, the sparse tableau, the triangular crash
-   basis, and the phase-1 cleanup of infeasible artificial rows — depends
-   only on the constraint set.  [prepare] runs that prefix once and
-   snapshots the resulting tableau; [solve_prepared] replays from the
-   snapshot with a fresh objective, reproducing the cold solve's pivot
-   trajectory bit-exactly (same starting basis, same deterministic
-   pricing), so re-solves under new objective coefficients cost only the
-   phase-2 pivots. *)
+(* A solve splits at the phase-2 objective row.  Everything before it —
+   normalization, the sparse tableau, the triangular crash basis, and the
+   phase-1 cleanup of infeasible artificial rows — depends only on the
+   constraint set.  [prepare] runs that prefix once and snapshots the
+   resulting tableau; [solve_prepared] installs an objective on a copy of
+   the snapshot and runs phase 2.  Same starting basis and deterministic
+   pricing make every replay the same pivot trajectory, so re-solves
+   under new objective coefficients cost only the phase-2 pivots, and a
+   one-off [solve] is just a prepare followed by one replay. *)
 
 type prepared =
   | Prepared of {
@@ -532,6 +469,13 @@ let prepare_uninstrumented model ~extra =
         p_blocked = is_art;
       }
   in
+  (* Only rows whose artificial starts at a nonzero value make the crash
+     basis infeasible; in an IPET model that is just the unit source row
+     — every flow-conservation row has rhs 0.  Phase 1 therefore
+     minimizes only those, and when there are none (all artificials
+     basic at zero) it is skipped outright.  Artificials left basic at
+     zero stay pinned there through phase 2; they are only driven out if
+     a warm start later needs the basis (see [unpin_artificials]). *)
   let active = List.filter (fun i -> Q.sign rhs.(i) > 0) art_rows in
   if active = [] then snapshot ()
   else begin
@@ -594,6 +538,8 @@ let solve_prepared prepared model =
     Obs.observe "lp.simplex.pivots_per_solve" dp;
     r
   end
+
+let solve model = fst (solve_prepared (prepare model ~extra:[]) model)
 
 (* ------------------------------------------------------------------ *)
 (* Warm starts: dual simplex from a parent optimum                     *)

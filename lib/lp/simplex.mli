@@ -19,11 +19,8 @@ type outcome =
   | Infeasible
 
 val solve : Model.t -> outcome
-
-val solve_with :
-  Model.t -> extra:(Model.linexpr * Model.relation * Q.t) list -> outcome
-(** Solve the model with additional constraints appended (used by callers
-    that do not need warm starts). *)
+(** [solve m] is [fst (solve_prepared (prepare m ~extra:[]) m)]: a
+    one-off solve runs the same code as every replay. *)
 
 val pivots : unit -> int
 (** Monotone count of simplex pivots performed *by the calling domain*
@@ -47,42 +44,38 @@ type state
     Immutable from the caller's perspective: {!branch} and {!add_cutoff}
     copy before mutating. *)
 
-val solve_state :
-  Model.t ->
-  extra:(Model.linexpr * Model.relation * Q.t) list ->
-  outcome * state option
-(** Like {!solve_with}, additionally returning the solved state when the
-    outcome is [Optimal] (and [None] otherwise). *)
-
 (** {1 Prepared solves}
 
-    Multi-mode analyses re-solve the {e same} constraint system under
-    different objective coefficients (the flow structure of an IPET model
-    is mode-invariant; only block costs change).  Everything up to the
-    phase-2 objective row — normalization, the sparse tableau, the
-    triangular crash basis, phase-1 cleanup — depends only on the
-    constraints, so it can be paid once and replayed per objective. *)
+    Every solve is a prepare followed by a replay.  Multi-mode analyses
+    re-solve the {e same} constraint system under different objective
+    coefficients (the flow structure of an IPET model is mode-invariant;
+    only block costs change).  Everything up to the phase-2 objective row
+    — normalization, the sparse tableau, the triangular crash basis,
+    phase-1 cleanup — depends only on the constraints, so it is paid once
+    and replayed per objective. *)
 
 type prepared
-(** A snapshot of the tableau after the objective-independent prefix of
-    {!solve_state} (post crash basis and phase 1), reusable across any
-    number of objectives over the same constraints. *)
+(** A snapshot of the tableau after the objective-independent prefix
+    (post crash basis and phase 1), reusable across any number of
+    objectives over the same constraints. *)
 
 val prepare :
   Model.t -> extra:(Model.linexpr * Model.relation * Q.t) list -> prepared
-(** Build the snapshot from the model's constraints; the model's current
-    objective is ignored.  If phase 1 already proves the constraints
-    infeasible, the snapshot remembers that and every
-    {!solve_prepared} returns [Infeasible] without further work. *)
+(** Build the snapshot from the model's constraints plus [extra] rows
+    (for example refinement cuts); the model's current objective is
+    ignored.  If phase 1 already proves the constraints infeasible, the
+    snapshot remembers that and every {!solve_prepared} returns
+    [Infeasible] without further work. *)
 
 val solve_prepared : prepared -> Model.t -> outcome * state option
 (** [solve_prepared p model] solves [model]'s {e current} objective over
     the snapshot's constraints ([model] must be the one [prepare] was
-    given, possibly after {!Model.set_objective}).  The pivot trajectory
-    — and therefore the optimal vertex, objective, and returned state —
-    is bit-identical to a cold {!solve_state} on the same model: the
+    given, possibly after {!Model.set_objective}), returning the solved
+    state when the outcome is [Optimal] (and [None] otherwise).  Every
     replay starts from the same basis and prices with the same
-    deterministic rules. *)
+    deterministic rules, so the pivot trajectory — and therefore the
+    optimal vertex, objective, and returned state — is a function of the
+    constraints and the objective alone. *)
 
 val branch :
   state -> var:Model.var -> bound:[ `Le of int | `Ge of int ] -> outcome * state option
@@ -96,10 +89,10 @@ val add_le :
 (** [add_le s ~terms ~bound] appends the cut [terms <= bound] to a copy of
     [s] and restores optimality with dual simplex — the general-row
     primitive behind {!branch}, exposed so infeasible-path refinement can
-    inject conflict cuts (sums of edge-flow variables) without a cold
-    re-solve.  From a dual-feasible basis the result is [Optimal] (with
-    the extended state, reusable for further cuts) or [Infeasible] (the
-    cut empties the region); never [Unbounded]. *)
+    inject conflict cuts (sums of edge-flow variables) without
+    re-preparing the system.  From a dual-feasible basis the result is
+    [Optimal] (with the extended state, reusable for further cuts) or
+    [Infeasible] (the cut empties the region); never [Unbounded]. *)
 
 val add_cutoff : state -> lower:Q.t -> outcome * state option
 (** [add_cutoff s ~lower] constrains the objective to [>= lower] (sound

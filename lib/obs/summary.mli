@@ -7,7 +7,17 @@
     the sums of its span rows there, and the counters equal its counter
     rows (both under their Obs names, e.g. [dataflow.worklist.pops],
     [lp.simplex.pivots]).  Spans lost to a wrapped track ring are not
-    counted. *)
+    counted.
+
+    A phase's time includes every minor collection that an allocation
+    inside it triggers, although the minor heap that collection empties
+    was filled by the phases before it too.  So a phase's time can move
+    when another phase's allocation changes: over the 19 catalog
+    programs at [-c l2 -j 1], [block-costs] read 0.11-0.14 ms before
+    the packed cache-set states and 0.37-0.48 ms after them, with its
+    own code unchanged; under [OCAMLRUNPARAM=s=4M] (a 4 M-word minor
+    heap) both read 0.24-0.27 ms.  Compare a phase across changes with
+    that in mind, or with a larger minor heap. *)
 
 type phase = { name : string; total_ns : int64; calls : int }
 

@@ -132,6 +132,60 @@ join:
         (excl.Core.Ipet.wcet < plain.Core.Ipet.wcet)
   | _ -> Alcotest.fail "blocks not found"
 
+(* Every catalog procedure's WCET and BCET system, with the block costs
+   the analysis installed, solved again by the dense cold-start stack:
+   each optimum equals the production one.  The BCET model maximizes the
+   negated costs, so its optimum is minus the BCET path's cost. *)
+let test_ipet_catalog_matches_reference () =
+  let platform = Core.Mode.solo_platform () in
+  let suite = Workloads.Bench_programs.suite () in
+  Alcotest.(check bool) "catalog non-empty" true (suite <> []);
+  List.iter
+    (fun (b : Workloads.Bench_programs.t) ->
+      let ctx =
+        Core.Context.of_platform ~annot:b.Workloads.Bench_programs.annot
+          platform b.Workloads.Bench_programs.program
+      in
+      let w = Core.Wcet.analyze_with ~ctx platform in
+      let bc = Core.Bcet.analyze_with ~ctx platform in
+      List.iter
+        (fun (name, (p : Core.Context.proc)) ->
+          let pw = List.assoc name w.Core.Wcet.procs in
+          let pb = List.assoc name bc.Core.Bcet.procs in
+          (* A BCET block costs its own optimistic vector plus its
+             callee's BCET, as [Core.Bcet.analyze_with] sums it. *)
+          let bcet_cost id =
+            Pipeline.Cost.Vec.total pb.Core.Bcet.attrib.(id)
+            +
+            match Cfg.Graph.callee_of_block p.Core.Context.graph id with
+            | Some callee ->
+                (List.assoc callee bc.Core.Bcet.procs).Core.Bcet.bcet
+            | None -> 0
+          in
+          let check what prepared ~block_cost expected =
+            let what =
+              Printf.sprintf "%s/%s %s" b.Workloads.Bench_programs.name name
+                what
+            in
+            match
+              Lp_reference.solve_ilp (Core.Ipet.model prepared ~block_cost)
+            with
+            | Lp_reference.Ilp_optimal (o, _) ->
+                Alcotest.(check int) what expected (Lp.Q.to_int_exn o)
+            | Lp_reference.Ilp_unbounded | Lp_reference.Ilp_infeasible ->
+                Alcotest.failf "%s: reference stack found no optimum" what
+          in
+          check "wcet"
+            (Lazy.force p.Core.Context.ipet_wcet)
+            ~block_cost:(fun id -> pw.Core.Wcet.block_costs.(id))
+            pw.Core.Wcet.ipet.Core.Ipet.wcet;
+          check "bcet"
+            (Lazy.force p.Core.Context.ipet_bcet)
+            ~block_cost:bcet_cost
+            (-pb.Core.Bcet.ipet.Core.Ipet.wcet))
+        ctx.Core.Context.procs)
+    suite
+
 (* ------------------------------------------------------------------ *)
 (* Platform                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -1074,6 +1128,8 @@ let () =
             test_ipet_unbounded_loop_rejected;
           Alcotest.test_case "mutually exclusive" `Quick
             test_ipet_mutually_exclusive;
+          Alcotest.test_case "catalog systems match the reference stack"
+            `Quick test_ipet_catalog_matches_reference;
         ] );
       ( "platform",
         [ Alcotest.test_case "bounds" `Quick test_platform_bounds ] );

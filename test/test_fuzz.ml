@@ -205,6 +205,38 @@ let test_campaign_rejects_bad_inputs () =
   Alcotest.(check bool) "cores 5" true
     (raises (fun () -> O.run_campaign ~seed:1 ~count:4 ~cores:5 ()))
 
+(* Exact work counts of one fixed campaign: simplex pivots, ILP nodes,
+   worklist pops, transfers and cache fixpoint iterations.  With
+   [~workers:1] the calling domain runs every job, so its per-domain
+   counters see the whole campaign.  A change that moves a count on
+   purpose updates it here, with the reason in CHANGES.md. *)
+let test_campaign_work_counts () =
+  let charged run =
+    let read () =
+      [
+        Lp.Simplex.pivots ();
+        Lp.Ilp.nodes_explored ();
+        Dataflow.Worklist.pops ();
+        Dataflow.Worklist.transfers ();
+        Cache.Analysis.fixpoint_iterations ();
+      ]
+    in
+    let before = read () in
+    ignore (run () : O.campaign);
+    List.map2 ( - ) (read ()) before
+  in
+  Alcotest.(check (list int))
+    "seed 7: pivots, nodes, pops, transfers, cache iterations"
+    [ 357; 198; 6499; 6184; 708 ]
+    (charged (fun () ->
+         O.run_campaign ~seed:7 ~count:8 ~cores:2 ~workers:1 ()));
+  Alcotest.(check (list int))
+    "seed 7 refined: pivots, nodes, pops, transfers, cache iterations"
+    [ 590; 324; 6499; 6184; 708 ]
+    (charged (fun () ->
+         O.run_campaign ~refine:Refine.default ~seed:7 ~count:8 ~cores:2
+           ~workers:1 ()))
+
 let test_csv_shape () =
   let c = O.run_campaign ~seed:3 ~count:2 ~modes:[ O.Joint ] () in
   let csv = O.csv_of_report c.O.report in
@@ -245,5 +277,7 @@ let () =
           Alcotest.test_case "rejects bad inputs" `Quick
             test_campaign_rejects_bad_inputs;
           Alcotest.test_case "csv shape" `Quick test_csv_shape;
+          Alcotest.test_case "work counts pinned" `Quick
+            test_campaign_work_counts;
         ] );
     ]

@@ -359,39 +359,43 @@ let prop_ilp_matches_bruteforce =
 (* Differential: sparse/warm-started stack vs the dense reference      *)
 (* ------------------------------------------------------------------ *)
 
+let gen_term = QCheck.Gen.(tup2 (int_range (-4) 4) (int_range 0 3))
+
+let gen_con =
+  QCheck.Gen.(
+    tup3
+      (list_size (int_range 1 4) gen_term)
+      (oneofl [ Lp.Model.Le; Lp.Model.Ge; Lp.Model.Eq ])
+      (int_range 0 10))
+
 (* Random small models over up to 4 variables with a mix of relation
    kinds.  [bounded] adds an upper bound per variable, which keeps the
    branch-and-bound trees small and also lets the unbounded outcome be
    exercised when off. *)
 let gen_random_model =
   QCheck.Gen.(
-    let term = tup2 (int_range (-4) 4) (int_range 0 3) in
-    let con =
-      tup3
-        (list_size (int_range 1 4) term)
-        (oneofl [ Lp.Model.Le; Lp.Model.Ge; Lp.Model.Eq ])
-        (int_range 0 10)
-    in
     tup4 (int_range 1 4)
-      (list_size (int_range 1 6) con)
-      (list_size (int_range 1 4) term)
+      (list_size (int_range 1 6) gen_con)
+      (list_size (int_range 1 4) gen_term)
       bool)
 
+let print_terms nvars ts =
+  String.concat "+"
+    (List.map (fun (c, v) -> Printf.sprintf "%d*x%d" c (v mod nvars)) ts)
+
+let print_cons nvars cons =
+  String.concat "; "
+    (List.map
+       (fun (ts, rel, r) ->
+         Printf.sprintf "%s %s %d" (print_terms nvars ts)
+           (match rel with Lp.Model.Le -> "<=" | Ge -> ">=" | Eq -> "=")
+           r)
+       cons)
+
 let print_random_model (nvars, cons, obj, bounded) =
-  let terms ts =
-    String.concat "+"
-      (List.map (fun (c, v) -> Printf.sprintf "%d*x%d" c (v mod nvars)) ts)
-  in
   Printf.sprintf "nvars=%d%s max %s s.t. %s" nvars
     (if bounded then " (boxed)" else "")
-    (terms obj)
-    (String.concat "; "
-       (List.map
-          (fun (ts, rel, r) ->
-            Printf.sprintf "%s %s %d" (terms ts)
-              (match rel with Lp.Model.Le -> "<=" | Ge -> ">=" | Eq -> "=")
-              r)
-          cons))
+    (print_terms nvars obj) (print_cons nvars cons)
 
 let build_random_model ~var_bound (nvars, cons, obj, bounded) =
   let m = Lp.Model.create () in
@@ -411,18 +415,38 @@ let build_random_model ~var_bound (nvars, cons, obj, bounded) =
   Lp.Model.set_objective m (terms obj);
   m
 
+(* The model plus 0-2 extra rows, handed to [prepare ~extra] on the
+   sparse side and to [solve_lp_with ~extra] on the dense one: the path
+   a refinement cut system's from-scratch re-solve takes. *)
 let prop_lp_matches_reference =
   QCheck.Test.make ~name:"sparse and dense LP solvers agree" ~count:500
-    (QCheck.make ~print:print_random_model gen_random_model)
-    (fun spec ->
+    (QCheck.make
+       ~print:(fun (((nvars, _, _, _) as spec), extra) ->
+         Printf.sprintf "%s extra %s" (print_random_model spec)
+           (print_cons nvars extra))
+       QCheck.Gen.(pair gen_random_model (list_size (int_range 0 2) gen_con)))
+    (fun (((nvars, _, _, _) as spec), extra) ->
       let m = build_random_model ~var_bound:12 spec in
-      match (Lp.Simplex.solve m, Lp.Reference.solve_lp m) with
-      | Lp.Simplex.Optimal (o1, _), Lp.Reference.Optimal (o2, _) ->
+      let extra =
+        List.map
+          (fun (ts, rel, r) ->
+            ( List.map
+                (fun (c, v) -> (q c 1, Lp.Model.var_of_index m (v mod nvars)))
+                ts,
+              rel,
+              q r 1 ))
+          extra
+      in
+      match
+        ( fst (Lp.Simplex.solve_prepared (Lp.Simplex.prepare m ~extra) m),
+          Lp_reference.solve_lp_with m ~extra )
+      with
+      | Lp.Simplex.Optimal (o1, _), Lp_reference.Optimal (o2, _) ->
           (* Alternate optima may differ in the witness; the objective
              value is unique. *)
           Lp.Q.equal o1 o2
-      | Lp.Simplex.Unbounded, Lp.Reference.Unbounded -> true
-      | Lp.Simplex.Infeasible, Lp.Reference.Infeasible -> true
+      | Lp.Simplex.Unbounded, Lp_reference.Unbounded -> true
+      | Lp.Simplex.Infeasible, Lp_reference.Infeasible -> true
       | _ -> false)
 
 let prop_ilp_matches_reference =
@@ -432,11 +456,11 @@ let prop_ilp_matches_reference =
     (fun (nvars, cons, obj, _) ->
       (* Always boxed: keeps both search trees small and finite. *)
       let m = build_random_model ~var_bound:8 (nvars, cons, obj, true) in
-      match (Lp.Ilp.solve m, Lp.Reference.solve_ilp m) with
-      | Lp.Ilp.Optimal (o1, _), Lp.Reference.Ilp_optimal (o2, _) ->
+      match (Lp.Ilp.solve m, Lp_reference.solve_ilp m) with
+      | Lp.Ilp.Optimal (o1, _), Lp_reference.Ilp_optimal (o2, _) ->
           Lp.Q.equal o1 o2
-      | Lp.Ilp.Unbounded, Lp.Reference.Ilp_unbounded -> true
-      | Lp.Ilp.Infeasible, Lp.Reference.Ilp_infeasible -> true
+      | Lp.Ilp.Unbounded, Lp_reference.Ilp_unbounded -> true
+      | Lp.Ilp.Infeasible, Lp_reference.Ilp_infeasible -> true
       | _ -> false)
 
 let test_ilp_reports_nodes () =

@@ -1,8 +1,9 @@
 (* Tests for CEGAR infeasible-path refinement: the refined bound never
    exceeds the unrefined one under any approach mode, stays above every
    simulated run (the oracle sandwich), cut injection is idempotent on
-   the prepared tableau, and a fixed iteration budget makes the loop
-   deterministic at any worker count. *)
+   the prepared tableau, a from-scratch solve of each iteration's cut
+   system reaches the warm path's bound, and a fixed iteration budget
+   makes the loop deterministic at any worker count. *)
 
 module G = Fuzz.Generator
 module O = Fuzz.Oracle
@@ -95,7 +96,7 @@ let prop_cut_injection_idempotent =
           let block_cost id = 7 + (3 * id mod 11) in
           let solve candidates =
             Core.Ipet.refine_prepared prepared ~block_cost ~candidates
-              ~config:cfg ()
+              ~config:cfg
           in
           let r1, s1 = solve candidates in
           let r2, s2 = solve candidates in
@@ -147,6 +148,62 @@ let test_catalog_tightens () =
             true (w.Core.Wcet.wcet < u))
     [ "mode_select"; "exclusive_modes"; "dead_arm" ]
 
+(* Every refinement iteration of the catalog, re-solved from scratch:
+   the procedure's model prepared afresh with the cut rows of iterations
+   1..i, then branch and bound.  Its optimum is the iteration's bound, so
+   the warm path (one dual-simplex run per cut on the root state) and a
+   cold solve of the same cut system agree. *)
+let test_catalog_cold_resolve () =
+  let platform = Core.Mode.solo_platform () in
+  let iterations = ref 0 in
+  List.iter
+    (fun (b : B.t) ->
+      let ctx =
+        Core.Context.of_platform ~annot:b.B.annot platform b.B.program
+      in
+      let w = Core.Wcet.analyze_with ~refine:cfg ~ctx platform in
+      List.iter
+        (fun (name, (p : Core.Context.proc)) ->
+          let pr = List.assoc name w.Core.Wcet.procs in
+          match pr.Core.Wcet.refine with
+          | None -> ()
+          | Some s ->
+              let prepared = Lazy.force p.Core.Context.ipet_wcet in
+              let m =
+                Core.Ipet.model prepared ~block_cost:(fun id ->
+                    pr.Core.Wcet.block_costs.(id))
+              in
+              ignore
+                (List.fold_left
+                   (fun rows (it : Core.Ipet.refine_iteration) ->
+                     let extra =
+                       rows
+                       @ [ Core.Ipet.cut_row prepared it.Core.Ipet.ri_cut ]
+                     in
+                     incr iterations;
+                     let what =
+                       Printf.sprintf "%s/%s iteration %d" b.B.name name
+                         (List.length extra)
+                     in
+                     (match
+                        (Lp.Ilp.solve_result_prepared
+                           (Lp.Simplex.prepare m ~extra)
+                           m)
+                          .Lp.Ilp.outcome
+                      with
+                     | Lp.Ilp.Optimal (o, _) ->
+                         Alcotest.(check int) what it.Core.Ipet.ri_wcet
+                           (Lp.Q.to_int_exn o)
+                     | Lp.Ilp.Unbounded | Lp.Ilp.Infeasible ->
+                         Alcotest.failf "%s: cold re-solve found no optimum"
+                           what);
+                     extra)
+                   [] s.Core.Ipet.rf_iterations))
+        ctx.Core.Context.procs)
+    (B.suite ());
+  (* The three refinement benchmarks each inject at least one cut. *)
+  Alcotest.(check bool) "iterations re-solved" true (!iterations >= 3)
+
 (* Off means off: ?refine:None leaves the result without refine stats or
    an unrefined bound — the bit-identical legacy path. *)
 let test_off_by_default () =
@@ -167,6 +224,8 @@ let () =
           Alcotest.test_case "refinement benchmarks tighten" `Quick
             test_catalog_tightens;
           Alcotest.test_case "off by default" `Quick test_off_by_default;
+          Alcotest.test_case "cold re-solves reach every iteration's bound"
+            `Quick test_catalog_cold_resolve;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
