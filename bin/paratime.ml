@@ -340,13 +340,21 @@ let multicore_cmd =
       Core.Multicore.default_system ~cores
         ~tasks:(Array.of_list (List.map (fun t -> Some t) tasks))
     in
+    (* One front end per task, shared by every mode; a task it rejects
+       fails the command before the table starts. *)
+    let ctxs =
+      try Core.Multicore.contexts sys
+      with Core.Wcet.Not_analysable msg ->
+        Printf.eprintf "not analysable: %s\n" msg;
+        exit 1
+    in
     let show mode =
       Printf.printf "%-14s" (Core.Mode.name mode);
       Array.iter
         (function
           | Some w -> Printf.printf " %10d" w
           | None -> Printf.printf " %10s" "-")
-        (Core.Multicore.wcets (Core.Mode.analyze sys mode));
+        (Core.Multicore.wcets (Core.Mode.analyze ~ctxs sys mode));
       print_newline ()
     in
     Printf.printf "%-14s" "approach";

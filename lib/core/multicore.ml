@@ -102,15 +102,59 @@ let wcet_of ?memo ?salt ?ctx ?bypass_key ?refine ~annot platform program =
       | None -> Wcet.analyze ~annot platform program)
   | Some m -> Memo.wcet m ~annot ?salt ?compute platform program
 
+(* One back end per distinct slot.  Within one [analyze_*] call, a
+   slot that shares an earlier slot's context, on a platform
+   {!Platform.equivalent} to that slot's, takes the earlier result with
+   its own [platform] field: the back end reads nothing else of either,
+   so its result would be the same.  The caller's memo salt and bypass
+   key must be functions of the context and the platform, as every
+   mode's are.  Without a context every slot is analyzed afresh: the
+   fresh path stays the reference the shared one is checked against. *)
+let one_per_distinct_slot () =
+  let seen = ref [] in
+  fun ctx platform analyze ->
+    match ctx with
+    | None -> analyze ()
+    | Some c -> (
+        let same (c', p, _) = c' == c && Platform.equivalent p platform in
+        match List.find_opt same !seen with
+        | Some (_, _, (w : Wcet.t)) -> { w with Wcet.platform }
+        | None ->
+            let w = analyze () in
+            seen := (c, platform, w) :: !seen;
+            w)
+
+(* [f core ctx task] for every occupied slot, computed once per
+   distinct context (per slot without contexts), so slots that share a
+   context share the value physically: the closures a platform embeds
+   are built once and {!Platform.equivalent} can see them equal. *)
+let by_context ?ctxs system f =
+  let built = ref [] in
+  Array.mapi
+    (fun core task ->
+      match (task, ctx_of ctxs core) with
+      | None, _ -> None
+      | Some task, None -> Some (f core None task)
+      | Some task, (Some c as ctx) -> (
+          match List.assq_opt c !built with
+          | Some v -> Some v
+          | None ->
+              let v = f core ctx task in
+              built := (c, v) :: !built;
+              Some v))
+    system.tasks
+
 let analyze_each ?memo ?salt ?ctxs ?refine system ~platform_for =
+  let share = one_per_distinct_slot () in
   Array.mapi
     (fun core task ->
       match task with
       | None -> None
       | Some (program, annot) ->
+          let ctx = ctx_of ctxs core and platform = platform_for core in
           Some
-            (wcet_of ?memo ?salt ?ctx:(ctx_of ctxs core) ?refine ~annot
-               (platform_for core) program))
+            (share ctx platform (fun () ->
+                 wcet_of ?memo ?salt ?ctx ?refine ~annot platform program)))
     system.tasks
 
 (* Oblivious: pretend the task owns the machine (private bus, whole L2). *)
@@ -157,71 +201,64 @@ let bypass_lines ?ctx system (program, _annot) =
 let analyze_joint ?memo ?ctxs ?refine system ?(bypass = false)
     ?(overlaps = fun _ _ -> true) () =
   let n = Array.length system.tasks in
-  let bypass_sets =
-    Array.mapi
-      (fun core task ->
-        match (task, bypass) with
-        | Some t, true -> Some (bypass_lines ?ctx:(ctx_of ctxs core) system t)
-        | _ -> None)
-      system.tasks
+  let config = system.l2 in
+  (* Per task, the bypass probe and the key that stands for it.  The
+     [bypass] closure is the only platform ingredient the fingerprint
+     cannot see (the conflict counts are rendered by it), so the memo
+     salt and the multilevel key are the bypass line set itself. *)
+  let probes =
+    by_context ?ctxs system (fun _ ctx task ->
+        if not bypass then ((fun _ -> false), "nobypass")
+        else
+          let lines = bypass_lines ?ctx system task in
+          (* Probed once per L2 access of every fixpoint sweep: a hash
+             set, not an O(lines) list scan. *)
+          let set = Hashtbl.create (2 * List.length lines) in
+          List.iter (fun l -> Hashtbl.replace set l ()) lines;
+          ( Hashtbl.mem set,
+            "bypass:" ^ String.concat "," (List.map string_of_int lines) ))
   in
-  let bypass_of =
-    Array.map
-      (function
-        | Some lines ->
-            (* Probed once per L2 access of every fixpoint sweep: a hash
-               set, not an O(lines) list scan. *)
-            let set = Hashtbl.create (2 * List.length lines) in
-            List.iter (fun l -> Hashtbl.replace set l ()) lines;
-            fun l -> Hashtbl.mem set l
-        | None -> fun _ -> false)
-      bypass_sets
+  let probe core = Option.get probes.(core) in
+  let platform core conflicts =
+    let bypass = fst (probe core) in
+    platform_of system ~core
+      ~l2:(Platform.Shared_l2 { config; conflicts; bypass })
+      ~arbiter:system.arbiter
   in
-  (* The [bypass] closure is the only platform ingredient the fingerprint
-     cannot see (the conflict counts are rendered by it), so the memo salt
-     is the bypass line set itself. *)
-  let salt_of =
-    Array.map
-      (function
-        | Some lines ->
-            "bypass:" ^ String.concat "," (List.map string_of_int lines)
-        | None -> "nobypass")
-      bypass_sets
+  let analyze core (program, annot) platform =
+    let key = snd (probe core) in
+    wcet_of ?memo ~salt:key ?ctx:(ctx_of ctxs core) ~bypass_key:key ?refine
+      ~annot platform program
   in
-  (* Phase 1: footprints under zero conflicts. *)
-  let phase conflicts_for =
-    Array.mapi
-      (fun core task ->
-        match task with
-        | None -> None
-        | Some (program, annot) ->
-            let l2 =
-              Platform.Shared_l2
-                {
-                  config = system.l2;
-                  conflicts = conflicts_for core;
-                  bypass = bypass_of.(core);
-                }
-            in
-            Some
-              (wcet_of ?memo ~salt:salt_of.(core) ?ctx:(ctx_of ctxs core)
-                 ~bypass_key:salt_of.(core) ?refine ~annot
-                 (platform_of system ~core ~l2 ~arbiter:system.arbiter)
-                 program))
-      system.tasks
-  in
-  let phase1 = phase (fun _ -> Cache.Shared.no_conflicts system.l2) in
+  (* Phase 1: each task's footprint under zero conflicts.  A context
+     holds it in the multilevel fixpoints, under the key phase 2 reads
+     them by; without one, a whole back end runs per slot. *)
   let footprints =
-    Array.map
-      (function
-        | None -> None
-        | Some w ->
-            Some
-              ( (match Wcet.footprint w with
-                | Some fp -> fp
-                | None -> Cache.Shared.no_conflicts system.l2),
-                Wcet.uses_unknown_l2_target w ))
-      phase1
+    by_context ?ctxs system (fun core ctx task ->
+        match ctx with
+        | Some ctx ->
+            let bypass, key = probe core in
+            let ms =
+              List.map
+                (fun (_, p) ->
+                  Obs.span ~cat:"phase" "cache-analysis" (fun () ->
+                      Context.multilevel ctx p ~config ~bypass_key:key ~bypass
+                        ()))
+                ctx.Context.procs
+            in
+            ( Cache.Shared.combine
+                (List.map Cache.Multilevel.footprint ms)
+                config,
+              List.exists Cache.Multilevel.uses_unknown_target ms )
+        | None ->
+            let w =
+              analyze core task
+                (platform core (Cache.Shared.no_conflicts config))
+            in
+            ( (match Wcet.footprint w with
+              | Some fp -> fp
+              | None -> Cache.Shared.no_conflicts config),
+              Wcet.uses_unknown_l2_target w ))
   in
   let conflicts_for core =
     let foreign = ref [] in
@@ -231,16 +268,26 @@ let analyze_joint ?memo ?ctxs ?refine system ?(bypass = false)
         | Some (fp, unknown) ->
             let fp =
               if unknown then
-                Array.make system.l2.Cache.Config.sets
-                  system.l2.Cache.Config.assoc
+                Array.make config.Cache.Config.sets config.Cache.Config.assoc
               else fp
             in
             foreign := fp :: !foreign
         | None -> ()
     done;
-    Cache.Shared.combine !foreign system.l2
+    Cache.Shared.combine !foreign config
   in
-  phase conflicts_for
+  (* Phase 2: each task under its co-runners' conflicts. *)
+  let share = one_per_distinct_slot () in
+  Array.mapi
+    (fun core task ->
+      match task with
+      | None -> None
+      | Some task ->
+          let platform = platform core (conflicts_for core) in
+          Some
+            (share (ctx_of ctxs core) platform (fun () ->
+                 analyze core task platform)))
+    system.tasks
 
 let analyze_partitioned ?memo ?ctxs ?refine system ~scheme =
   let n = Array.length system.tasks in
@@ -254,6 +301,11 @@ let analyze_partitioned ?memo ?ctxs ?refine system ~scheme =
    oblivious analysis's block execution counts. *)
 let lock_selection ?memo ?ctxs system =
   let profits = Hashtbl.create 64 in
+  let oblivious =
+    platform_of system ~core:0 ~l2:(Platform.Private_l2 system.l2)
+      ~arbiter:Interconnect.Arbiter.Private
+  in
+  let share = one_per_distinct_slot () in
   Array.iteri
     (fun core task ->
       match task with
@@ -261,10 +313,8 @@ let lock_selection ?memo ?ctxs system =
       | Some (program, annot) -> (
           let ctx = ctx_of ctxs core in
           match
-            wcet_of ?memo ?ctx ~annot
-              (platform_of system ~core:0 ~l2:(Platform.Private_l2 system.l2)
-                 ~arbiter:Interconnect.Arbiter.Private)
-              program
+            share ctx oblivious (fun () ->
+                wcet_of ?memo ?ctx ~annot oblivious program)
           with
           | w ->
               List.iter
@@ -311,16 +361,17 @@ let analyze_locked ?memo ?ctxs ?refine system =
     ^ String.concat ","
         (List.map string_of_int selection.Cache.Locking.locked)
   in
+  (* One L2 value for every slot, so their platforms are equivalent. *)
+  let l2 =
+    Platform.Locked_l2
+      {
+        config = system.l2;
+        selection_of = (fun _ -> selection);
+        reload_cost = (fun ~proc:_ _ -> 0);
+      }
+  in
   analyze_each ?memo ~salt ?ctxs ?refine system ~platform_for:(fun core ->
-      platform_of system ~core
-        ~l2:
-          (Platform.Locked_l2
-             {
-               config = system.l2;
-               selection_of = (fun _ -> selection);
-               reload_cost = (fun ~proc:_ _ -> 0);
-             })
-        ~arbiter:system.arbiter)
+      platform_of system ~core ~l2 ~arbiter:system.arbiter)
 
 (* Dynamic locking (Suhendra & Mitra): each outermost loop of each task
    gets its own locked contents, selected by in-region access frequency,
@@ -329,8 +380,7 @@ let analyze_locked ?memo ?ctxs ?refine system =
    selection may use the full capacity; the comparison against static
    locking is at analysis level (the concrete machine model does not
    reprogram locks at run time). *)
-let dynamic_lock_functions ?ctx system program annot =
-  ignore annot;
+let dynamic_lock_functions ?ctx system program =
   let lat = system.latencies in
   let reload_per_line =
     lat.Pipeline.Latencies.l2_hit + lat.Pipeline.Latencies.mem
@@ -445,30 +495,21 @@ let dynamic_lock_functions ?ctx system program annot =
   (selection_of, reload_cost)
 
 let analyze_locked_dynamic ?memo ?ctxs ?refine system =
-  Array.mapi
-    (fun core task ->
-      match task with
-      | None -> None
-      | Some (program, annot) ->
-          let ctx = ctx_of ctxs core in
-          let selection_of, reload_cost =
-            dynamic_lock_functions ?ctx system program annot
-          in
-          let platform =
-            platform_of system ~core
-              ~l2:
-                (Platform.Locked_l2
-                   { config = system.l2; selection_of; reload_cost })
-              ~arbiter:system.arbiter
-          in
-          (* [dynamic_lock_functions] is a deterministic function of the
-             task's program and the L2 geometry / latencies, all of which
-             the fingerprint already covers — a constant salt suffices to
-             distinguish this mode from static locking. *)
-          Some
-            (wcet_of ?memo ~salt:"dynamic" ?ctx ?refine ~annot platform
-               program))
-    system.tasks
+  let l2 =
+    by_context ?ctxs system (fun _ ctx (program, _) ->
+        let selection_of, reload_cost =
+          dynamic_lock_functions ?ctx system program
+        in
+        Platform.Locked_l2 { config = system.l2; selection_of; reload_cost })
+  in
+  (* [dynamic_lock_functions] is a deterministic function of the task's
+     program and the L2 geometry / latencies, all of which the
+     fingerprint already covers — a constant salt suffices to
+     distinguish this mode from static locking. *)
+  analyze_each ?memo ~salt:"dynamic" ?ctxs ?refine system
+    ~platform_for:(fun core ->
+      platform_of system ~core ~l2:(Option.get l2.(core))
+        ~arbiter:system.arbiter)
 
 let wcets results =
   Array.map (Option.map (fun (w : Wcet.t) -> w.Wcet.wcet)) results

@@ -19,7 +19,22 @@
       knowledge needed.
     - {!analyze_locked}: statically locked shared L2 (Suhendra & Mitra):
       contents chosen globally by greedy profit, every access trivially
-      classified. *)
+      classified.
+
+    One back end per distinct slot: with [?ctxs], a slot whose context
+    is physically an earlier slot's, on a platform
+    {!Platform.equivalent} to that slot's, takes the earlier slot's
+    {!Wcet.t} with its own [platform] field instead of running the back
+    end again.  The closures a mode puts in a platform (bypass probes,
+    lock selections, dynamic-lock functions) are built once per
+    distinct context, so equal tasks get equal closures.  An N-core
+    group of one task on a symmetric arbiter therefore costs one back
+    end per mode (two for static locking: the selection, then the
+    bound); a weighted arbiter, whose waits differ per core, or
+    co-runner conflicts that differ per slot keep their own.  Results
+    are bit-identical to analyzing every slot.  Without contexts every
+    slot is analyzed from scratch: that path is the independent
+    reference the shared one is checked against. *)
 
 type system = {
   latencies : Pipeline.Latencies.t;
@@ -76,7 +91,16 @@ val analyze_joint :
   ?overlaps:(int -> int -> bool) ->
   unit ->
   Wcet.t option array
-(** [overlaps i j] (default: always) — whether the tasks of cores [i] and
+(** Two phases.  Phase 1 finds each task's L2 footprint (and whether it
+    touches unknown lines) under zero conflicts; phase 2 analyzes each
+    task on a shared L2 whose conflict counts are the combined
+    footprints of the co-runners it overlaps.  With a context, phase 1
+    reads the footprint off the context's multilevel fixpoints
+    ({!Context.multilevel}), under the bypass key phase 2 finds them by,
+    and runs no back end; without one it runs a whole analysis per slot
+    and keeps only the footprint.
+
+    [overlaps i j] (default: always) — whether the tasks of cores [i] and
     [j] can execute concurrently; non-overlapping tasks do not conflict. *)
 
 val bypass_lines :

@@ -138,6 +138,30 @@ let fingerprint t =
       let s = Buffer.contents b in
       Some (if has_closures then `Needs_salt s else `Pure s)
 
+(* [fingerprint] equality without the rendering: the same fields,
+   compared as values, and the L2 closures by physical identity (a
+   fingerprint cannot see them at all).  Geometry and latencies are
+   compared first, so the resolved waits are computed only for
+   platforms that could still be equivalent. *)
+let equivalent a b =
+  a.latencies = b.latencies && a.l1i = b.l1i && a.l1d = b.l1d
+  && a.method_cache = b.method_cache
+  && (match (a.l2, b.l2) with
+     | No_l2, No_l2 -> true
+     | Private_l2 c, Private_l2 d -> c = d
+     | Shared_l2 x, Shared_l2 y ->
+         x.config = y.config && x.bypass == y.bypass
+         && x.conflicts = y.conflicts
+     | Locked_l2 x, Locked_l2 y ->
+         x.config = y.config
+         && x.selection_of == y.selection_of
+         && x.reload_cost == y.reload_cost
+     | (No_l2 | Private_l2 _ | Shared_l2 _ | Locked_l2 _), _ -> false)
+  &&
+  match (bus_wait a, bus_wait b, mem_wait a, mem_wait b) with
+  | exception Failure _ -> false (* no bound: nothing to share *)
+  | bus_a, bus_b, mem_a, mem_b -> bus_a = bus_b && mem_a = mem_b
+
 let machine t =
   {
     Sim.Machine.latencies = t.latencies;

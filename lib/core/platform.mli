@@ -94,3 +94,16 @@ val fingerprint : t -> [ `Pure of string | `Needs_salt of string ] option
     combined with a caller-supplied salt encoding those closures'
     semantics.  [None] when the arbiter admits no bound (FCFS) — the
     analyses fail on such platforms, so there is nothing to cache. *)
+
+val equivalent : t -> t -> bool
+(** Whether {!Wcet.analyze} and {!Bcet.analyze} cannot tell two
+    platforms apart: the same latencies, L1 geometry, method cache,
+    resolved [bus_wait] and [mem_wait], and L2 mode with the same
+    geometry and conflict counts, compared as values, and the same L2
+    closures, compared physically.  On closure-free platforms it agrees
+    with {!fingerprint} equality; where the L2 embeds closures it holds
+    only for the very same closures, so no salt is needed.  False when
+    a bus or memory arbiter of either platform admits no bound, where
+    {!fingerprint} is [None].  Renders no string: it costs a few
+    comparisons and two wait computations per platform, where rendering
+    a shared-L2 fingerprint formats every conflict count. *)

@@ -209,6 +209,110 @@ let test_platform_bounds () =
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "FCFS must be rejected"
 
+(* [Platform.equivalent] is [fingerprint] equality without the
+   rendering.  Over a grid of platforms (L2 modes, arbiters and cores,
+   latencies, L1 geometry, method cache, refresh, memory arbiter) the
+   two agree pair by pair, shared and locked L2s holding one set of
+   closures included; another closure makes two platforms differ. *)
+let test_platform_equivalent () =
+  let module P = Core.Platform in
+  let module A = Interconnect.Arbiter in
+  let base = P.single_core () in
+  let l2 = Cache.Config.make ~sets:64 ~assoc:4 ~line_size:16 in
+  let conflicts k = Array.init 64 (fun s -> if s = 3 then k else 0) in
+  let bypass _ = false in
+  let selection_of _ = { Cache.Locking.locked = [] } in
+  let reload_cost ~proc:_ _ = 0 in
+  let shared ?(bypass = bypass) k =
+    P.Shared_l2 { config = l2; conflicts = conflicts k; bypass }
+  in
+  let locked ?(selection_of = selection_of) () =
+    P.Locked_l2 { config = l2; selection_of; reload_cost }
+  in
+  let l2s =
+    [
+      P.No_l2;
+      P.Private_l2 l2;
+      P.Private_l2 (Cache.Config.make ~sets:32 ~assoc:4 ~line_size:16);
+      shared 0;
+      shared 1;
+      locked ();
+    ]
+  in
+  let arbiters =
+    [
+      (A.Private, 0);
+      (A.Round_robin { cores = 4 }, 0);
+      (A.Round_robin { cores = 4 }, 3);
+      (A.Tdma { cores = 2; slot = 200 }, 0);
+      (A.Tdma { cores = 2; slot = 200 }, 1);
+      (A.Weighted { weights = [| 1; 2; 3 |] }, 0);
+      (A.Weighted { weights = [| 1; 2; 3 |] }, 2);
+    ]
+  in
+  let variants =
+    [
+      Fun.id;
+      (fun p ->
+        let lat = p.P.latencies in
+        { p with P.latencies = { lat with Pipeline.Latencies.mem = 60 } });
+      (fun p ->
+        { p with P.l1d = Cache.Config.make ~sets:4 ~assoc:2 ~line_size:16 });
+      (fun p -> { p with P.method_cache = Some Cache.Method_cache.default });
+      (fun p ->
+        let refresh = A.Distributed { interval = 1000; duration = 5 } in
+        { p with P.refresh });
+      (fun p ->
+        { p with P.mem_arbiter = Some (A.Round_robin { cores = 2 }, 1) });
+    ]
+  in
+  let platforms =
+    List.concat_map
+      (fun l2 ->
+        List.concat_map
+          (fun (arbiter, core) ->
+            List.map (fun v -> v { base with P.l2; arbiter; core }) variants)
+          arbiters)
+      l2s
+  in
+  let rendered =
+    List.map
+      (fun p ->
+        match P.fingerprint p with
+        | Some (`Pure s | `Needs_salt s) -> (p, s)
+        | None -> Alcotest.fail "grid platform has no bound")
+      platforms
+  in
+  let symmetric = ref 0 in
+  List.iter
+    (fun (a, fa) ->
+      List.iter
+        (fun (b, fb) ->
+          if P.equivalent a b <> (fa = fb) then
+            Alcotest.failf "equivalent disagrees with fingerprint: %s vs %s"
+              fa fb;
+          if fa = fb && a.P.core <> b.P.core then incr symmetric)
+        rendered)
+    rendered;
+  Alcotest.(check bool)
+    "symmetric cores are equivalent" true (!symmetric > 0);
+  let with_l2 l2 = { base with P.l2 } in
+  let probe = Hashtbl.mem (Hashtbl.create 1) in
+  Alcotest.(check bool) "the same bypass closure" true
+    (P.equivalent (with_l2 (shared ~bypass:probe 0))
+       (with_l2 (shared ~bypass:probe 0)));
+  Alcotest.(check bool) "another bypass closure" false
+    (P.equivalent (with_l2 (shared ~bypass:probe 0))
+       (with_l2 (shared ~bypass:(Hashtbl.mem (Hashtbl.create 1)) 0)));
+  let sel = { Cache.Locking.locked = [ 1 ] } in
+  Alcotest.(check bool) "another lock selection closure" false
+    (P.equivalent
+       (with_l2 (locked ~selection_of:(fun _ -> sel) ()))
+       (with_l2 (locked ~selection_of:(fun _ -> sel) ())));
+  let fcfs = { base with P.arbiter = A.Fcfs { cores = 2 } } in
+  Alcotest.(check bool) "no bound, nothing equivalent" false
+    (P.equivalent fcfs fcfs)
+
 (* ------------------------------------------------------------------ *)
 (* Single-task WCET                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -781,6 +885,35 @@ let test_context_backend_identical () =
         (Attrib.of_bcet fb = Attrib.of_bcet sb))
     [ ("solo L1", solo_ctx, platform); ("system L1", sys_ctx, system_platform) ]
 
+let contended_modes = List.filter (( <> ) Core.Mode.Solo) Core.Mode.all
+
+(* Every slot of a shared-context analysis against the fresh per-slot
+   one: the store entry, the attribution rows and the core id. *)
+let check_slots label fresh shared =
+  Alcotest.(check int) (label ^ ": slots") (Array.length fresh)
+    (Array.length shared);
+  Array.iteri
+    (fun i f ->
+      match (f, shared.(i)) with
+      | None, None -> ()
+      | Some (f : Core.Wcet.t), Some (s : Core.Wcet.t) ->
+          if
+            not
+              (Store.Entry.equal (Store.Entry.of_wcet f)
+                 (Store.Entry.of_wcet s))
+          then Alcotest.failf "%s, slot %d: store entries differ" label i;
+          if Attrib.of_wcet f <> Attrib.of_wcet s then
+            Alcotest.failf "%s, slot %d: attribution rows differ" label i;
+          if f.Core.Wcet.platform.Core.Platform.core
+             <> s.Core.Wcet.platform.Core.Platform.core
+          then Alcotest.failf "%s, slot %d: core ids differ" label i
+      | _ -> Alcotest.failf "%s, slot %d: occupancy differs" label i)
+    fresh
+
+(* One context per distinct task, and one back end per distinct slot:
+   over the catalog, cores 1-4, three arbiters (round-robin, TDMA,
+   weighted with a different wait per core) and the seven contended
+   modes, the shared path equals the fresh one on every slot. *)
 let test_context_shared_across_slots () =
   let sys = mk_system 4 in
   let ctxs = Core.Multicore.contexts sys in
@@ -797,33 +930,105 @@ let test_context_shared_across_slots () =
                 true (ci == c0)
           | None -> Alcotest.fail "missing slot context")
         ctxs);
-  let same name fresh shared =
-    Alcotest.(check (list int)) name (get_wcets fresh) (get_wcets shared)
+  let arbiters n =
+    [
+      Interconnect.Arbiter.Round_robin { cores = n };
+      Interconnect.Arbiter.Tdma { cores = n; slot = 80 };
+      Interconnect.Arbiter.Weighted
+        { weights = Array.init n (fun i -> i + 1) };
+    ]
   in
-  same "oblivious"
-    (Core.Multicore.analyze_oblivious sys)
-    (Core.Multicore.analyze_oblivious ~ctxs sys);
-  same "joint"
-    (Core.Multicore.analyze_joint sys ())
-    (Core.Multicore.analyze_joint ~ctxs sys ());
-  same "bypass"
-    (Core.Multicore.analyze_joint sys ~bypass:true ())
-    (Core.Multicore.analyze_joint ~ctxs sys ~bypass:true ());
-  same "columnized"
-    (Core.Multicore.analyze_partitioned sys
-       ~scheme:Cache.Partition.Columnization)
-    (Core.Multicore.analyze_partitioned ~ctxs sys
-       ~scheme:Cache.Partition.Columnization);
-  same "bankized"
-    (Core.Multicore.analyze_partitioned sys ~scheme:Cache.Partition.Bankization)
-    (Core.Multicore.analyze_partitioned ~ctxs sys
-       ~scheme:Cache.Partition.Bankization);
-  same "locked"
-    (Core.Multicore.analyze_locked sys)
-    (Core.Multicore.analyze_locked ~ctxs sys);
-  same "dynamic"
-    (Core.Multicore.analyze_locked_dynamic sys)
-    (Core.Multicore.analyze_locked_dynamic ~ctxs sys)
+  List.iter
+    (fun (b : Workloads.Bench_programs.t) ->
+      let task = Workloads.Bench_programs.(b.program, b.annot) in
+      for cores = 1 to 4 do
+        List.iter
+          (fun arbiter ->
+            let sys =
+              {
+                (Core.Multicore.default_system ~cores
+                   ~tasks:(Array.make cores (Some task)))
+                with
+                Core.Multicore.arbiter;
+              }
+            in
+            let ctxs = Core.Multicore.contexts sys in
+            List.iter
+              (fun mode ->
+                check_slots
+                  (Printf.sprintf "%s, %d cores, %s, %s"
+                     b.Workloads.Bench_programs.name cores
+                     (Interconnect.Arbiter.describe arbiter)
+                     (Core.Mode.name mode))
+                  (Core.Mode.analyze sys mode)
+                  (Core.Mode.analyze ~ctxs sys mode))
+              contended_modes)
+          (arbiters cores)
+      done)
+    (Workloads.Bench_programs.suite ())
+
+(* Joint analysis over [A; A; B] where only slots 0 and 2 run at the
+   same time: slots 0 and 1 share a context but not their conflicts, so
+   each keeps its own back end, and every slot equals the fresh one. *)
+let test_context_shared_overlaps () =
+  let suite = Array.of_list (Workloads.Bench_programs.suite ()) in
+  let overlaps i j = i <> j && i + j = 2 in
+  Array.iteri
+    (fun i (a : Workloads.Bench_programs.t) ->
+      let b = suite.((i + 1) mod Array.length suite) in
+      let task (p : Workloads.Bench_programs.t) =
+        Some Workloads.Bench_programs.(p.program, p.annot)
+      in
+      let sys =
+        Core.Multicore.default_system ~cores:3
+          ~tasks:[| task a; task a; task b |]
+      in
+      let ctxs = Core.Multicore.contexts sys in
+      List.iter
+        (fun bypass ->
+          check_slots
+            (Printf.sprintf "[%s; %s; %s], bypass %b"
+               a.Workloads.Bench_programs.name a.Workloads.Bench_programs.name
+               b.Workloads.Bench_programs.name bypass)
+            (Core.Multicore.analyze_joint sys ~bypass ~overlaps ())
+            (Core.Multicore.analyze_joint ~ctxs sys ~bypass ~overlaps ()))
+        [ false; true ])
+    suite
+
+(* Slots that cannot differ run one back end: on an identical 4-slot
+   group every mode solves each procedure's IPET once, and locking
+   twice (the lock selection's oblivious analysis, then the locked
+   one).  The joint modes read their phase-1 footprints from the
+   context.  Without sharing that is 4/8/8/4/4/8/4 solves. *)
+let test_context_one_backend_per_slot () =
+  let b = Option.get (Workloads.Bench_programs.by_name "fir") in
+  let task = Workloads.Bench_programs.(b.program, b.annot) in
+  let sys =
+    Core.Multicore.default_system ~cores:4 ~tasks:(Array.make 4 (Some task))
+  in
+  let ctxs = Core.Multicore.contexts sys in
+  let procs =
+    match ctxs.(0) with
+    | Some c -> List.length c.Core.Context.procs
+    | None -> Alcotest.fail "no context for slot 0"
+  in
+  List.iter2
+    (fun mode solves ->
+      let sink = Obs.Sink.create () in
+      Obs.with_sink sink (fun () -> ignore (Core.Mode.analyze ~ctxs sys mode));
+      let calls =
+        match
+          List.find_opt
+            (fun (p : Obs.Summary.phase) -> p.Obs.Summary.name = "ipet-solve")
+            (Obs.Summary.of_sink sink).Obs.Summary.phases
+        with
+        | Some p -> p.Obs.Summary.calls
+        | None -> 0
+      in
+      Alcotest.(check int)
+        (Core.Mode.name mode ^ ": ipet-solve spans")
+        (solves * procs) calls)
+    contended_modes [ 1; 1; 1; 1; 1; 2; 1 ]
 
 (* ------------------------------------------------------------------ *)
 (* Approach modes                                                     *)
@@ -1132,7 +1337,11 @@ let () =
             `Quick test_ipet_catalog_matches_reference;
         ] );
       ( "platform",
-        [ Alcotest.test_case "bounds" `Quick test_platform_bounds ] );
+        [
+          Alcotest.test_case "bounds" `Quick test_platform_bounds;
+          Alcotest.test_case "equivalent agrees with fingerprint" `Quick
+            test_platform_equivalent;
+        ] );
       ( "wcet",
         [
           Alcotest.test_case "sound and tight" `Quick test_wcet_sound_and_tight;
@@ -1194,6 +1403,10 @@ let () =
             test_context_backend_identical;
           Alcotest.test_case "shared across core slots" `Quick
             test_context_shared_across_slots;
+          Alcotest.test_case "shared slots with partial overlap" `Quick
+            test_context_shared_overlaps;
+          Alcotest.test_case "one back end per distinct slot" `Quick
+            test_context_one_backend_per_slot;
         ] );
       ( "scheduling",
         [

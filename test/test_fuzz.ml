@@ -227,12 +227,12 @@ let test_campaign_work_counts () =
   in
   Alcotest.(check (list int))
     "seed 7: pivots, nodes, pops, transfers, cache iterations"
-    [ 357; 198; 6499; 6184; 708 ]
+    [ 323; 180; 6499; 6184; 708 ]
     (charged (fun () ->
          O.run_campaign ~seed:7 ~count:8 ~cores:2 ~workers:1 ()));
   Alcotest.(check (list int))
     "seed 7 refined: pivots, nodes, pops, transfers, cache iterations"
-    [ 590; 324; 6499; 6184; 708 ]
+    [ 522; 288; 6499; 6184; 708 ]
     (charged (fun () ->
          O.run_campaign ~refine:Refine.default ~seed:7 ~count:8 ~cores:2
            ~workers:1 ()))
