@@ -468,14 +468,14 @@ let stall_replay_guard () =
 
 (* ---- mode-invariant contexts: the 8-mode sweep, fresh vs shared ------ *)
 
-(* The tentpole measurement: every approach mode over the catalog, once
-   with the pre-context discipline (each analysis call rebuilds the whole
-   mode-invariant front end) and once from a shared
+(* Every approach mode over the catalog, once fresh (each analysis call
+   builds its own front end: [Wcet.analyze]/[Bcet.analyze] solo, one
+   [Context.build] per core slot per mode call) and once from a shared
    [Core.Context]/[Multicore.contexts] pack — one front end per program,
    thin per-mode back ends, prepared IPET tableaus re-solved per
    objective.  Bounds, IPET worst paths (per-proc objective + block
    counts) and full attribution tables must be bit-identical between the
-   two engines; the wall-clock gate is on the aggregate sweep. *)
+   two; the wall-clock gate is on the aggregate sweep. *)
 
 let ctx_sweep_cores = 2
 
@@ -498,11 +498,21 @@ let ctx_sweep_bench ~reps suite =
       MC.default_system ~cores:ctx_sweep_cores
         ~tasks:(Array.make ctx_sweep_cores (Some task))
     in
+    (* [ctxs ()] gives a mode call its contexts: fresh, one per slot
+       and shared with nothing; or the pack's. *)
     let ctxs, solo_ctx =
       match engine with
-      | `Fresh -> (None, None)
+      | `Fresh ->
+          ( (fun () ->
+              Array.map
+                (Option.map (fun (program, annot) ->
+                     Core.Context.build ~annot ~l1i:sys.MC.l1i
+                       ~l1d:sys.MC.l1d program))
+                sys.MC.tasks),
+            None )
       | `Context ->
-          ( Some (MC.contexts sys),
+          let ctxs = MC.contexts sys in
+          ( (fun () -> ctxs),
             Some
               (Core.Context.of_platform ~annot:b.B.annot solo_platform
                  b.B.program) )
@@ -524,7 +534,7 @@ let ctx_sweep_bench ~reps suite =
       List.map fingerprint
         (solo
         :: List.map
-             (fun mode -> w0 (Core.Mode.analyze ?ctxs sys mode))
+             (fun mode -> w0 (Core.Mode.analyze ~ctxs:(ctxs ()) sys mode))
              system_modes) )
   in
   let time engine b =

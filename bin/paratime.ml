@@ -334,8 +334,12 @@ let simulate_cmd =
 
 let multicore_cmd =
   let run sources =
+    (* Columnization gives each core one of the L2's 4 ways: refuse a
+       fifth task before any row prints. *)
+    let cores = List.length sources in
+    if cores > 4 then
+      die "multicore takes 1 to 4 tasks (one per core), got %d" cores;
     let tasks = List.map load sources in
-    let cores = List.length tasks in
     let sys =
       Core.Multicore.default_system ~cores
         ~tasks:(Array.of_list (List.map (fun t -> Some t) tasks))
@@ -365,7 +369,8 @@ let multicore_cmd =
   let sources =
     Arg.(
       non_empty & pos_all string []
-      & info [] ~docv:"SOURCE" ~doc:"One task per core (file or bench:NAME).")
+      & info [] ~docv:"SOURCE"
+          ~doc:"One task per core, 1 to 4 tasks (file or bench:NAME).")
   in
   Cmd.v
     (Cmd.info "multicore"
@@ -704,19 +709,13 @@ let batch_cmd =
 
 let fuzz_cmd =
   let run seed count cores jobs_flag mode_args timeout_ms csv attrib trace
-      interp_arg engine_arg refine_flag =
+      interp_arg refine_flag =
     let interp =
       match String.lowercase_ascii interp_arg with
       | "block" -> `Block
       | "reference" -> `Reference
       | "both" -> `Both
       | s -> die "unknown --interp %S (expected block, reference or both)" s
-    in
-    let engine =
-      match String.lowercase_ascii engine_arg with
-      | "context" -> `Context
-      | "fresh" -> `Fresh
-      | s -> die "unknown --engine %S (expected context or fresh)" s
     in
     let modes =
       match
@@ -751,7 +750,7 @@ let fuzz_cmd =
     let c =
       match
         Fuzz.Oracle.run_campaign ~modes ~cores ?workers ?timeout_ns ~memo
-          ?refine ~interp ~engine ~seed ~count ()
+          ?refine ~interp ~seed ~count ()
       with
       | c -> c
       | exception Invalid_argument msg -> die "%s" msg
@@ -819,7 +818,6 @@ let fuzz_cmd =
            | `Block -> ""
            | `Reference -> " --interp reference"
            | `Both -> " --interp both")
-          ^ (match engine with `Context -> "" | `Fresh -> " --engine fresh")
           ^ match refine with None -> "" | Some _ -> " --refine"))
       r.Fuzz.Oracle.violations;
     trace_finish ();
@@ -896,16 +894,6 @@ let fuzz_cmd =
              per-instruction stepper), or $(b,both) — run both and report \
              any block-vs-reference divergence as a violation.")
   in
-  let engine_arg =
-    Arg.(
-      value & opt string "context"
-      & info [ "engine" ] ~docv:"WHICH"
-          ~doc:
-            "Analysis engine for the bound side: $(b,context) (one shared \
-             mode-invariant context per task, default) or $(b,fresh) (full \
-             front-to-back analysis per mode — the differential oracle for \
-             the context path; both produce bit-identical reports).")
-  in
   let refine_flag =
     Arg.(
       value & flag
@@ -924,7 +912,7 @@ let fuzz_cmd =
           shapes and all multicore approach families")
     Term.(
       const run $ seed $ count $ cores $ jobs_flag $ modes $ timeout_ms $ csv
-      $ attrib $ trace $ interp_arg $ engine_arg $ refine_flag)
+      $ attrib $ trace $ interp_arg $ refine_flag)
 
 (* ---------------- attribute ---------------- *)
 

@@ -85,14 +85,14 @@ let runs ?memo ?ctxs (sys : M.system) mode setups =
           { config; slots = [| i |]; setups = [| setups.(i) |] })
   | Joint -> group shared setups
   | Bypass ->
+      let ctxs = match ctxs with Some c -> c | None -> M.contexts sys in
       group shared
         (Array.mapi
            (fun i (s : Sim.Machine.core_setup) ->
              match sys.M.tasks.(i) with
              | None -> s
              | Some task ->
-                 let ctx = Option.bind ctxs (fun a -> a.(i)) in
-                 let lines = M.bypass_lines ?ctx sys task in
+                 let lines = M.bypass_lines ?ctx:ctxs.(i) sys task in
                  let set = Hashtbl.create (2 * List.length lines + 1) in
                  List.iter (fun l -> Hashtbl.replace set l ()) lines;
                  { s with Sim.Machine.l2_bypass = Hashtbl.mem set })

@@ -51,7 +51,8 @@ val analyze :
   t ->
   Wcet.t option array
 (** The mode's bound for every core slot, from the matching
-    [Multicore.analyze_*] entry point.
+    [Multicore.analyze_*] entry point, on [ctxs] or, without them, on
+    contexts the call builds for itself ({!Multicore.contexts}).
     @raise Invalid_argument on [Solo], which does not run on a system. *)
 
 type run = {
@@ -78,8 +79,8 @@ val runs :
     - [Bypass] and [Locked]: one run of the whole group on the shared
       L2, each setup carrying the bypass set or the lock selection the
       analysis assumed ({!Multicore.bypass_lines},
-      {!Multicore.static_lock_selection}, from [ctxs] and [memo] when
-      given);
+      {!Multicore.static_lock_selection}, from [ctxs], or contexts the
+      call builds as {!analyze} does, and from [memo] when given);
     - [Dynamic]: none; the machine cannot reprogram lock bits at run
       time.
     @raise Invalid_argument on [Solo], or if [setups] does not hold one

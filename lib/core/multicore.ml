@@ -68,25 +68,18 @@ let contexts ?facts system =
               Some ctx))
     system.tasks
 
-let ctx_of ctxs core =
-  match ctxs with None -> None | Some a -> a.(core)
+(* The call's contexts: the caller's, or its own, built here.  Every
+   occupied slot is bounded on its context. *)
+let own ?ctxs system =
+  match ctxs with Some c -> c | None -> contexts system
 
-(* Memoized or direct per-task analysis.  [salt] must encode the
-   semantics of any closures the platform's L2 mode carries — see
-   {!Memo}; closure-free platforms need none.  With a [ctx], misses (and
-   uncacheable points) run the context back end instead of a fresh
-   front-to-back analysis; [bypass_key] keys the context's multilevel
-   memo with the same string discipline as the memo salt. *)
-let wcet_of ?memo ?salt ?ctx ?bypass_key ?refine ~annot platform program =
-  let compute =
-    match (ctx, refine) with
-    | Some ctx, _ ->
-        Some (fun () -> Wcet.analyze_with ?bypass_key ?refine ~ctx platform)
-    | None, Some _ ->
-        (* The memo's default compute is the unrefined analysis. *)
-        Some (fun () -> Wcet.analyze ~annot ?refine platform program)
-    | None, None -> None
-  in
+(* Memoized or direct per-task analysis on the slot's context.  [salt]
+   must encode the semantics of any closures the platform's L2 mode
+   carries — see {!Memo}; closure-free platforms need none.
+   [bypass_key] keys the context's multilevel memo with the same string
+   discipline as the memo salt. *)
+let wcet_of ?memo ?salt ~ctx ?bypass_key ?refine ~annot platform program =
+  let compute () = Wcet.analyze_with ?bypass_key ?refine ~ctx platform in
   (* Refined and unrefined results must never share a cache entry: the
      refinement budget joins the salt ({!Refine.salt}). *)
   let salt =
@@ -96,11 +89,8 @@ let wcet_of ?memo ?salt ?ctx ?bypass_key ?refine ~annot platform program =
         Some (Option.value salt ~default:"" ^ "|" ^ Refine.salt config)
   in
   match memo with
-  | None -> (
-      match compute with
-      | Some f -> f ()
-      | None -> Wcet.analyze ~annot platform program)
-  | Some m -> Memo.wcet m ~annot ?salt ?compute platform program
+  | None -> compute ()
+  | Some m -> Memo.wcet m ~annot ?salt ~compute platform program
 
 (* One back end per distinct slot.  Within one [analyze_*] call, a
    slot that shares an earlier slot's context, on a platform
@@ -108,53 +98,50 @@ let wcet_of ?memo ?salt ?ctx ?bypass_key ?refine ~annot platform program =
    its own [platform] field: the back end reads nothing else of either,
    so its result would be the same.  The caller's memo salt and bypass
    key must be functions of the context and the platform, as every
-   mode's are.  Without a context every slot is analyzed afresh: the
-   fresh path stays the reference the shared one is checked against. *)
+   mode's are. *)
 let one_per_distinct_slot () =
   let seen = ref [] in
   fun ctx platform analyze ->
-    match ctx with
-    | None -> analyze ()
-    | Some c -> (
-        let same (c', p, _) = c' == c && Platform.equivalent p platform in
-        match List.find_opt same !seen with
-        | Some (_, _, (w : Wcet.t)) -> { w with Wcet.platform }
-        | None ->
-            let w = analyze () in
-            seen := (c, platform, w) :: !seen;
-            w)
+    let same (c', p, _) = c' == ctx && Platform.equivalent p platform in
+    match List.find_opt same !seen with
+    | Some (_, _, (w : Wcet.t)) -> { w with Wcet.platform }
+    | None ->
+        let w = analyze () in
+        seen := (ctx, platform, w) :: !seen;
+        w
 
-(* [f core ctx task] for every occupied slot, computed once per
-   distinct context (per slot without contexts), so slots that share a
-   context share the value physically: the closures a platform embeds
-   are built once and {!Platform.equivalent} can see them equal. *)
-let by_context ?ctxs system f =
+(* [f core ctx] for every occupied slot, computed once per
+   distinct context, so slots that share a context share the value
+   physically: the closures a platform embeds are built once and
+   {!Platform.equivalent} can see them equal. *)
+let by_context ctxs system f =
   let built = ref [] in
   Array.mapi
     (fun core task ->
-      match (task, ctx_of ctxs core) with
-      | None, _ -> None
-      | Some task, None -> Some (f core None task)
-      | Some task, (Some c as ctx) -> (
+      match task with
+      | None -> None
+      | Some _ -> (
+          let c = Option.get ctxs.(core) in
           match List.assq_opt c !built with
           | Some v -> Some v
           | None ->
-              let v = f core ctx task in
+              let v = f core c in
               built := (c, v) :: !built;
               Some v))
     system.tasks
 
 let analyze_each ?memo ?salt ?ctxs ?refine system ~platform_for =
+  let ctxs = own ?ctxs system in
   let share = one_per_distinct_slot () in
   Array.mapi
     (fun core task ->
       match task with
       | None -> None
       | Some (program, annot) ->
-          let ctx = ctx_of ctxs core and platform = platform_for core in
+          let ctx = Option.get ctxs.(core) and platform = platform_for core in
           Some
             (share ctx platform (fun () ->
-                 wcet_of ?memo ?salt ?ctx ?refine ~annot platform program)))
+                 wcet_of ?memo ?salt ~ctx ?refine ~annot platform program)))
     system.tasks
 
 (* Oblivious: pretend the task owns the machine (private bus, whole L2). *)
@@ -163,54 +150,44 @@ let analyze_oblivious ?memo ?ctxs ?refine system =
       platform_of system ~core:0 ~l2:(Platform.Private_l2 system.l2)
         ~arbiter:Interconnect.Arbiter.Private)
 
-(* Per-procedure flow facts of a task, bottom-up: from the shared
-   context when one is supplied, rebuilt otherwise.  The rebuild
-   matches what the context holds — in particular the *plain* value
-   analysis (no interprocedural clobber refinement), so both paths see
-   identical access-target sets. *)
-let task_procs ?ctx program =
-  match ctx with
-  | Some (c : Context.t) ->
-      List.map
-        (fun (_, (p : Context.proc)) ->
-          (p.Context.name, p.Context.graph, lazy p.Context.loops,
-           p.Context.va_plain))
-        c.Context.procs
-  | None ->
-      let cg = Cfg.Callgraph.build program in
-      List.map
-        (fun (name, g) ->
-          ( name,
-            g,
-            lazy (Cfg.Loops.analyze g (Cfg.Dominators.compute g)),
-            lazy (Dataflow.Value_analysis.analyze g) ))
-        (Cfg.Callgraph.bottom_up cg)
+(* The L2 accesses of a block for the bypass and locking heuristics:
+   over the *plain* value analysis (no interprocedural clobber
+   refinement), whose access-target sets they were defined on. *)
+let l2_accesses system (p : Context.proc) =
+  let g = p.Context.graph and va = Lazy.force p.Context.va_plain in
+  fun id ->
+    Cache.Analysis.instruction_accesses system.l2 g id
+    @ Cache.Analysis.data_accesses system.l2 g va id
 
 (* Single-usage bypass lines of a task: union over its procedures. *)
-let bypass_lines ?ctx system (program, _annot) =
+let single_usage_lines system (ctx : Context.t) =
   List.concat_map
-    (fun (_, g, loops, va) ->
-      let va = Lazy.force va in
-      Cache.Multilevel.single_usage_lines g (Lazy.force loops)
-        ~l2_accesses:(fun id ->
-          Cache.Analysis.instruction_accesses system.l2 g id
-          @ Cache.Analysis.data_accesses system.l2 g va id))
-    (task_procs ?ctx program)
+    (fun (_, (p : Context.proc)) ->
+      Cache.Multilevel.single_usage_lines p.Context.graph p.Context.loops
+        ~l2_accesses:(l2_accesses system p))
+    ctx.Context.procs
   |> List.sort_uniq compare
+
+let bypass_lines ?ctx system (program, annot) =
+  single_usage_lines system
+    (match ctx with
+    | Some ctx -> ctx
+    | None -> Context.build ~annot ~l1i:system.l1i ~l1d:system.l1d program)
 
 let analyze_joint ?memo ?ctxs ?refine system ?(bypass = false)
     ?(overlaps = fun _ _ -> true) () =
   let n = Array.length system.tasks in
   let config = system.l2 in
+  let ctxs = own ?ctxs system in
   (* Per task, the bypass probe and the key that stands for it.  The
      [bypass] closure is the only platform ingredient the fingerprint
      cannot see (the conflict counts are rendered by it), so the memo
      salt and the multilevel key are the bypass line set itself. *)
   let probes =
-    by_context ?ctxs system (fun _ ctx task ->
+    by_context ctxs system (fun _ ctx ->
         if not bypass then ((fun _ -> false), "nobypass")
         else
-          let lines = bypass_lines ?ctx system task in
+          let lines = single_usage_lines system ctx in
           (* Probed once per L2 access of every fixpoint sweep: a hash
              set, not an O(lines) list scan. *)
           let set = Hashtbl.create (2 * List.length lines) in
@@ -219,46 +196,24 @@ let analyze_joint ?memo ?ctxs ?refine system ?(bypass = false)
             "bypass:" ^ String.concat "," (List.map string_of_int lines) ))
   in
   let probe core = Option.get probes.(core) in
-  let platform core conflicts =
-    let bypass = fst (probe core) in
-    platform_of system ~core
-      ~l2:(Platform.Shared_l2 { config; conflicts; bypass })
-      ~arbiter:system.arbiter
-  in
-  let analyze core (program, annot) platform =
-    let key = snd (probe core) in
-    wcet_of ?memo ~salt:key ?ctx:(ctx_of ctxs core) ~bypass_key:key ?refine
-      ~annot platform program
-  in
-  (* Phase 1: each task's footprint under zero conflicts.  A context
-     holds it in the multilevel fixpoints, under the key phase 2 reads
-     them by; without one, a whole back end runs per slot. *)
+  (* Phase 1: each task's footprint under zero conflicts, and whether
+     it touches unknown lines, read off the context's multilevel
+     fixpoints under the key phase 2 finds them by. *)
   let footprints =
-    by_context ?ctxs system (fun core ctx task ->
-        match ctx with
-        | Some ctx ->
-            let bypass, key = probe core in
-            let ms =
-              List.map
-                (fun (_, p) ->
-                  Obs.span ~cat:"phase" "cache-analysis" (fun () ->
-                      Context.multilevel ctx p ~config ~bypass_key:key ~bypass
-                        ()))
-                ctx.Context.procs
-            in
-            ( Cache.Shared.combine
-                (List.map Cache.Multilevel.footprint ms)
-                config,
-              List.exists Cache.Multilevel.uses_unknown_target ms )
-        | None ->
-            let w =
-              analyze core task
-                (platform core (Cache.Shared.no_conflicts config))
-            in
-            ( (match Wcet.footprint w with
-              | Some fp -> fp
-              | None -> Cache.Shared.no_conflicts config),
-              Wcet.uses_unknown_l2_target w ))
+    by_context ctxs system (fun core ctx ->
+        let bypass, key = probe core in
+        let ms =
+          List.map
+            (fun (_, p) ->
+              Obs.span ~cat:"phase" "cache-analysis" (fun () ->
+                  Context.multilevel ctx p ~config ~bypass_key:key ~bypass
+                    ()))
+            ctx.Context.procs
+        in
+        ( Cache.Shared.combine
+            (List.map Cache.Multilevel.footprint ms)
+            config,
+          List.exists Cache.Multilevel.uses_unknown_target ms ))
   in
   let conflicts_for core =
     let foreign = ref [] in
@@ -282,11 +237,18 @@ let analyze_joint ?memo ?ctxs ?refine system ?(bypass = false)
     (fun core task ->
       match task with
       | None -> None
-      | Some task ->
-          let platform = platform core (conflicts_for core) in
+      | Some (program, annot) ->
+          let ctx = Option.get ctxs.(core) and bypass, key = probe core in
+          let conflicts = conflicts_for core in
+          let platform =
+            platform_of system ~core
+              ~l2:(Platform.Shared_l2 { config; conflicts; bypass })
+              ~arbiter:system.arbiter
+          in
           Some
-            (share (ctx_of ctxs core) platform (fun () ->
-                 analyze core task platform)))
+            (share ctx platform (fun () ->
+                 wcet_of ?memo ~salt:key ~ctx ~bypass_key:key ?refine ~annot
+                   platform program)))
     system.tasks
 
 let analyze_partitioned ?memo ?ctxs ?refine system ~scheme =
@@ -299,7 +261,8 @@ let analyze_partitioned ?memo ?ctxs ?refine system ~scheme =
 
 (* Global greedy lock selection: line profits estimated from the
    oblivious analysis's block execution counts. *)
-let lock_selection ?memo ?ctxs system =
+let static_lock_selection ?memo ?ctxs system =
+  let ctxs = own ?ctxs system in
   let profits = Hashtbl.create 64 in
   let oblivious =
     platform_of system ~core:0 ~l2:(Platform.Private_l2 system.l2)
@@ -310,50 +273,43 @@ let lock_selection ?memo ?ctxs system =
     (fun core task ->
       match task with
       | None -> ()
-      | Some (program, annot) -> (
-          let ctx = ctx_of ctxs core in
-          match
+      | Some (program, annot) ->
+          let ctx = Option.get ctxs.(core) in
+          let w =
             share ctx oblivious (fun () ->
-                wcet_of ?memo ?ctx ~annot oblivious program)
-          with
-          | w ->
-              List.iter
-                (fun (name, g, _, va) ->
-                  let pr = List.assoc name w.Wcet.procs in
-                  let counts = pr.Wcet.ipet.Ipet.block_counts in
-                  let va = Lazy.force va in
-                  for id = 0 to Cfg.Graph.num_blocks g - 1 do
-                    let accs =
-                      Cache.Analysis.instruction_accesses system.l2 g id
-                      @ Cache.Analysis.data_accesses system.l2 g va id
-                    in
-                    List.iter
-                      (fun (a : Cache.Analysis.access) ->
-                        match a.Cache.Analysis.target with
-                        | Cache.Analysis.Lines [ l ] ->
-                            let prev =
-                              match Hashtbl.find_opt profits l with
-                              | Some p -> p
-                              | None -> 0
-                            in
-                            Hashtbl.replace profits l (prev + counts.(id))
-                        | Cache.Analysis.Lines _ | Cache.Analysis.Unknown ->
-                            ())
-                      accs
-                  done)
-                (task_procs ?ctx program)))
+                wcet_of ?memo ~ctx ~annot oblivious program)
+          in
+          List.iter
+            (fun (name, (p : Context.proc)) ->
+              let pr = List.assoc name w.Wcet.procs in
+              let counts = pr.Wcet.ipet.Ipet.block_counts in
+              let accesses = l2_accesses system p in
+              for id = 0 to Cfg.Graph.num_blocks p.Context.graph - 1 do
+                List.iter
+                  (fun (a : Cache.Analysis.access) ->
+                    match a.Cache.Analysis.target with
+                    | Cache.Analysis.Lines [ l ] ->
+                        let prev =
+                          match Hashtbl.find_opt profits l with
+                          | Some p -> p
+                          | None -> 0
+                        in
+                        Hashtbl.replace profits l (prev + counts.(id))
+                    | Cache.Analysis.Lines _ | Cache.Analysis.Unknown -> ())
+                  (accesses id)
+              done)
+            ctx.Context.procs)
     system.tasks;
   let candidates = Hashtbl.fold (fun l p acc -> (l, p) :: acc) profits [] in
   Cache.Locking.select system.l2 ~candidates
 
-let static_lock_selection = lock_selection
-
 let analyze_locked ?memo ?ctxs ?refine system =
+  let ctxs = own ?ctxs system in
   (* The selection itself stays unrefined: it is a heuristic over the
      oblivious block counts, and keeping it refine-independent means the
      refined and unrefined sweeps lock the same lines (so the bound
      comparison isolates the path refinement). *)
-  let selection = lock_selection ?memo ?ctxs system in
+  let selection = static_lock_selection ?memo ~ctxs system in
   (* The selection depends on *all* tasks, not just the one being
      analyzed, so it must appear in the memo key explicitly. *)
   let salt =
@@ -370,7 +326,7 @@ let analyze_locked ?memo ?ctxs ?refine system =
         reload_cost = (fun ~proc:_ _ -> 0);
       }
   in
-  analyze_each ?memo ~salt ?ctxs ?refine system ~platform_for:(fun core ->
+  analyze_each ?memo ~salt ~ctxs ?refine system ~platform_for:(fun core ->
       platform_of system ~core ~l2 ~arbiter:system.arbiter)
 
 (* Dynamic locking (Suhendra & Mitra): each outermost loop of each task
@@ -380,7 +336,7 @@ let analyze_locked ?memo ?ctxs ?refine system =
    selection may use the full capacity; the comparison against static
    locking is at analysis level (the concrete machine model does not
    reprogram locks at run time). *)
-let dynamic_lock_functions ?ctx system program =
+let dynamic_lock_functions system (ctx : Context.t) =
   let lat = system.latencies in
   let reload_per_line =
     lat.Pipeline.Latencies.l2_hit + lat.Pipeline.Latencies.mem
@@ -388,13 +344,9 @@ let dynamic_lock_functions ?ctx system program =
   (* Per proc: (instr -> selection), (block -> reload cost). *)
   let per_proc =
     List.map
-      (fun (name, g, loops, va) ->
-        let loops = Lazy.force loops in
-        let va = Lazy.force va in
-        let accesses id =
-          Cache.Analysis.instruction_accesses system.l2 g id
-          @ Cache.Analysis.data_accesses system.l2 g va id
-        in
+      (fun (name, (p : Context.proc)) ->
+        let g = p.Context.graph and loops = p.Context.loops in
+        let accesses = l2_accesses system p in
         (* Frequency of a block *per region entry*: the product of the
            bounds of the loops enclosing it below the region level is
            over-approximated by a flat weight per extra nesting level. *)
@@ -474,7 +426,7 @@ let dynamic_lock_functions ?ctx system program =
             0 (Cfg.Loops.loops loops)
         in
         (name, (g, selection_of, reload_of_block)))
-      (task_procs ?ctx program)
+      ctx.Context.procs
   in
   (* Instruction indices are global to the program: route the lookup to
      the procedure whose graph contains the instruction. *)
@@ -495,18 +447,17 @@ let dynamic_lock_functions ?ctx system program =
   (selection_of, reload_cost)
 
 let analyze_locked_dynamic ?memo ?ctxs ?refine system =
+  let ctxs = own ?ctxs system in
   let l2 =
-    by_context ?ctxs system (fun _ ctx (program, _) ->
-        let selection_of, reload_cost =
-          dynamic_lock_functions ?ctx system program
-        in
+    by_context ctxs system (fun _ ctx ->
+        let selection_of, reload_cost = dynamic_lock_functions system ctx in
         Platform.Locked_l2 { config = system.l2; selection_of; reload_cost })
   in
   (* [dynamic_lock_functions] is a deterministic function of the task's
      program and the L2 geometry / latencies, all of which the
      fingerprint already covers — a constant salt suffices to
      distinguish this mode from static locking. *)
-  analyze_each ?memo ~salt:"dynamic" ?ctxs ?refine system
+  analyze_each ?memo ~salt:"dynamic" ~ctxs ?refine system
     ~platform_for:(fun core ->
       platform_of system ~core ~l2:(Option.get l2.(core))
         ~arbiter:system.arbiter)

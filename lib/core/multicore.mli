@@ -21,20 +21,25 @@
       contents chosen globally by greedy profit, every access trivially
       classified.
 
-    One back end per distinct slot: with [?ctxs], a slot whose context
-    is physically an earlier slot's, on a platform
+    Every slot is bounded as a thin back end over its task's
+    mode-invariant {!Context.t}: the caller's [?ctxs], or, without
+    them, contexts the call builds for itself with {!contexts}, one per
+    distinct task.  One back end per distinct slot: a slot whose
+    context is physically an earlier slot's, on a platform
     {!Platform.equivalent} to that slot's, takes the earlier slot's
     {!Wcet.t} with its own [platform] field instead of running the back
     end again.  The closures a mode puts in a platform (bypass probes,
     lock selections, dynamic-lock functions) are built once per
     distinct context, so equal tasks get equal closures.  An N-core
-    group of one task on a symmetric arbiter therefore costs one back
-    end per mode (two for static locking: the selection, then the
-    bound); a weighted arbiter, whose waits differ per core, or
-    co-runner conflicts that differ per slot keep their own.  Results
-    are bit-identical to analyzing every slot.  Without contexts every
-    slot is analyzed from scratch: that path is the independent
-    reference the shared one is checked against. *)
+    group of one task on a symmetric arbiter therefore costs one front
+    end and one back end per mode (two for static locking: the
+    selection, then the bound); a weighted arbiter, whose waits differ
+    per core, or co-runner conflicts that differ per slot keep their
+    own.  Results are bit-identical to analyzing every slot on a
+    context of its own, the reference the tests check sharing
+    against.
+    @raise Invalid_argument if [ctxs] has no context for an occupied
+    slot. *)
 
 type system = {
   latencies : Pipeline.Latencies.t;
@@ -59,8 +64,8 @@ val contexts : ?facts:Context.facts Lazy.t array -> system -> contexts
 (** Build the task set's contexts once, sharing one context between
     slots that run the physically-same (program, annot) pair.  Passing
     the result as [?ctxs] to every [analyze_*] call of a sweep makes the
-    whole 8-mode sweep pay one front end per distinct task; results are
-    bit-identical to the context-free path.  [facts] holds one entry per
+    whole 8-mode sweep pay one front end per distinct task, where each
+    call without them builds its own.  [facts] holds one entry per
     slot, the {!Context.facts} of that slot's task: each context is then
     built over them (forced here) instead of over fresh facts, so a
     caller that also analyzes the task under other L1 geometries pays
@@ -94,11 +99,10 @@ val analyze_joint :
 (** Two phases.  Phase 1 finds each task's L2 footprint (and whether it
     touches unknown lines) under zero conflicts; phase 2 analyzes each
     task on a shared L2 whose conflict counts are the combined
-    footprints of the co-runners it overlaps.  With a context, phase 1
-    reads the footprint off the context's multilevel fixpoints
+    footprints of the co-runners it overlaps.  Phase 1 reads the
+    footprint off the context's multilevel fixpoints
     ({!Context.multilevel}), under the bypass key phase 2 finds them by,
-    and runs no back end; without one it runs a whole analysis per slot
-    and keeps only the footprint.
+    and runs no back end.
 
     [overlaps i j] (default: always) — whether the tasks of cores [i] and
     [j] can execute concurrently; non-overlapping tasks do not conflict. *)
@@ -107,9 +111,9 @@ val bypass_lines :
   ?ctx:Context.t -> system -> Isa.Program.t * Dataflow.Annot.t -> int list
 (** The single-usage L2 lines of a task (the compiler-directed bypass set
     of Hardy et al.), exposed so validation runs can configure the
-    simulator's bypass the same way the joint analysis assumed it.  With
-    [ctx], the task's flow facts come from the shared context instead of
-    a private callgraph / loop / value-analysis rebuild. *)
+    simulator's bypass the same way the joint analysis assumed it.  The
+    task's flow facts come from [ctx], or without it from a context
+    built here on the system's L1 geometry. *)
 
 val analyze_partitioned :
   ?memo:Memo.t ->

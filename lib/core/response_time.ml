@@ -47,9 +47,12 @@ let lifetime_refinement ?memo system ~offsets ?(max_iterations = 10) () =
     (offsets.(core), offsets.(core) + wcet)
   in
   let intersects (a1, a2) (b1, b2) = a1 < b2 && b1 < a2 in
+  (* One front end per task for every iteration: only the conflicts
+     change between them. *)
+  let ctxs = Multicore.contexts system in
   let rec iterate k prev_wcets =
     let results =
-      Multicore.analyze_joint ?memo system
+      Multicore.analyze_joint ?memo ~ctxs system
         ~overlaps:(fun i j -> overlaps.(i).(j))
         ()
     in

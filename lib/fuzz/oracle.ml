@@ -17,7 +17,6 @@ let all_modes = Core.Mode.all
 let mode_name = Core.Mode.name
 
 type interp = [ `Block | `Reference | `Both ]
-type engine = [ `Context | `Fresh ]
 
 type check = {
   mode : mode;
@@ -58,27 +57,15 @@ let merge_reports rs =
 
 (* ---- bounds and machines --------------------------------------------- *)
 
-(* With a [ctx], misses run the context back end; without one the fresh
-   front-to-back analysis.  Both are bit-identical by contract — the
-   [engine] parameter below exists exactly to differentially check
-   that. *)
-let wcet_result ?memo ?ctx ?refine ~annot platform program =
-  let compute =
-    match (ctx, refine) with
-    | Some ctx, _ -> Some (fun () -> Core.Wcet.analyze_with ?refine ~ctx platform)
-    | None, Some _ ->
-        Some (fun () -> Core.Wcet.analyze ~annot ?refine platform program)
-    | None, None -> None
-  in
+(* Misses run the back end over the task's context. *)
+let wcet_result ?memo ~ctx ?refine ~annot platform program =
+  let compute () = Core.Wcet.analyze_with ?refine ~ctx platform in
   (* Refined results carry a salt ({!Refine.salt}) so they never share a
      memo entry with the unrefined solo checks. *)
   let salt = Option.map Refine.salt refine in
   match memo with
-  | None -> (
-      match compute with
-      | Some f -> f ()
-      | None -> Core.Wcet.analyze ~annot platform program)
-  | Some m -> Core.Memo.wcet m ~annot ?salt ?compute platform program
+  | None -> compute ()
+  | Some m -> Core.Memo.wcet m ~annot ?salt ~compute platform program
 
 (* The root procedure's category decomposition of the bound. *)
 let root_vec (w : Core.Wcet.t) =
@@ -86,17 +73,12 @@ let root_vec (w : Core.Wcet.t) =
   | (_, pr) :: _ -> pr.Core.Wcet.wcet_vec
   | [] -> Pipeline.Cost.Vec.zero
 
-let bcet_bound ?memo ?ctx ~annot platform program =
-  let compute =
-    Option.map (fun ctx () -> Core.Bcet.analyze_with ~ctx platform) ctx
-  in
+let bcet_bound ?memo ~ctx ~annot platform program =
+  let compute () = Core.Bcet.analyze_with ~ctx platform in
   match memo with
-  | None ->
-      (match compute with
-      | Some f -> f ()
-      | None -> Core.Bcet.analyze ~annot platform program)
-        .Core.Bcet.bcet
-  | Some m -> (Core.Memo.bcet m ~annot ?compute platform program).Core.Bcet.bcet
+  | None -> (compute ()).Core.Bcet.bcet
+  | Some m ->
+      (Core.Memo.bcet m ~annot ~compute platform program).Core.Bcet.bcet
 
 let solo_shapes () =
   let l2_small = Cache.Config.make ~sets:16 ~assoc:2 ~line_size:16 in
@@ -268,9 +250,8 @@ let collect pairs =
 let lazy_facts (g : Generator.t) =
   lazy (Core.Context.facts ~annot:g.Generator.annot g.Generator.program)
 
-let check_solo ?memo ?(checkpoint = fun () -> ())
-    ?(interp : interp = `Block) ?(engine : engine = `Context) ?refine ?facts
-    (g : Generator.t) =
+let check_solo ?memo ?(checkpoint = fun () -> ()) ?(interp : interp = `Block)
+    ?refine ?facts (g : Generator.t) =
   let annot = g.Generator.annot and program = g.Generator.program in
   let divergences = ref [] in
   (* One context per L1 geometry, not per shape: shapes that differ only
@@ -295,13 +276,9 @@ let check_solo ?memo ?(checkpoint = fun () -> ())
   let per_shape (shape, platform) =
     checkpoint ();
     match
-      let ctx =
-        match engine with
-        | `Context -> Some (context platform)
-        | `Fresh -> None
-      in
-      let w = wcet_result ?memo ?ctx ?refine ~annot platform program in
-      let bcet = bcet_bound ?memo ?ctx ~annot platform program in
+      let ctx = context platform in
+      let w = wcet_result ?memo ~ctx ?refine ~annot platform program in
+      let bcet = bcet_bound ?memo ~ctx ~annot platform program in
       let rs, dv =
         sim_run ~interp ~mode:Solo ~shape
           ~g_of:(fun _ -> g)
@@ -361,9 +338,8 @@ let group_shape = function
   | Locked -> "locked-l2"
   | Dynamic -> "locked-l2-dynamic"
 
-let check_group ?memo ?(checkpoint = fun () -> ())
-    ?(interp : interp = `Block) ?(engine : engine = `Context) ?refine ?facts
-    ~modes gens =
+let check_group ?memo ?(checkpoint = fun () -> ()) ?(interp : interp = `Block)
+    ?refine ?facts ~modes gens =
   let n = Array.length gens in
   if n < 1 then invalid_arg "Oracle.check_group: empty task group";
   let divergences = ref [] in
@@ -376,26 +352,27 @@ let check_group ?memo ?(checkpoint = fun () -> ())
   let sys = M.default_system ~cores:n ~tasks in
   (* One context per task, shared across every contended mode and the
      BCET side (the private platform has the same L1 geometry).  This is
-     the campaign's dominant cost: with contexts, each task pays one
-     front end for the whole group run instead of one per mode. *)
-  let ctxs =
-    match engine with
-    | `Context -> Some (M.contexts ?facts sys)
-    | `Fresh -> None
-  in
-  let ctx_for core = Option.bind ctxs (fun a -> a.(core)) in
+     the campaign's dominant cost: each task pays one front end for the
+     whole group run instead of one per mode.  Both are forced inside
+     each mode's guard, so a front end that fails is a violation of
+     every mode. *)
+  let ctxs = lazy (M.contexts ?facts sys) in
   let bcets =
-    Array.mapi
-      (fun i (g : Generator.t) ->
-        bcet_bound ?memo ?ctx:(ctx_for i) ~annot:g.Generator.annot
-          (private_platform sys) g.Generator.program)
-      gens
+    lazy
+      (Array.mapi
+         (fun i (g : Generator.t) ->
+           bcet_bound ?memo
+             ~ctx:(Option.get (Lazy.force ctxs).(i))
+             ~annot:g.Generator.annot (private_platform sys)
+             g.Generator.program)
+         gens)
   in
   let plain_setups = Array.map setup_of gens in
   let run_mode mode =
     checkpoint ();
     let shape = group_shape mode in
-    let ws = Core.Mode.analyze ?memo ?ctxs ?refine sys mode in
+    let ctxs = Lazy.force ctxs and bcets = Lazy.force bcets in
+    let ws = Core.Mode.analyze ?memo ~ctxs ?refine sys mode in
     (* Each core's observed run: oblivious runs each task alone, the
        other simulable modes run the whole group, and dynamic locking is
        checked analytically only. *)
@@ -409,7 +386,7 @@ let check_group ?memo ?(checkpoint = fun () -> ())
         in
         divergences := !divergences @ dv;
         Array.iteri (fun k slot -> observed.(slot) <- Some rs.(k)) slots)
-      (Core.Mode.runs ?memo ?ctxs sys mode plain_setups);
+      (Core.Mode.runs ?memo ~ctxs sys mode plain_setups);
     List.filter_map
       (fun core ->
         Option.map
@@ -536,7 +513,7 @@ let stats_of report modes =
 
 let run_campaign ?(params = Generator.default_params) ?(modes = Core.Mode.all)
     ?(cores = 4) ?workers ?memo ?timeout_ns ?(interp : interp = `Block)
-    ?(engine : engine = `Context) ?refine ~seed ~count () =
+    ?refine ~seed ~count () =
   if count <= 0 then invalid_arg "Oracle.run_campaign: count must be positive";
   if cores < 1 || cores > 4 then
     invalid_arg "Oracle.run_campaign: cores must be in 1..4 (the L2 has 4 ways)";
@@ -563,7 +540,7 @@ let run_campaign ?(params = Generator.default_params) ?(modes = Core.Mode.all)
                   (fun k ->
                     if (gi * cores) + k < count then
                       Some
-                        (check_solo ?memo ~checkpoint ~interp ~engine ?refine
+                        (check_solo ?memo ~checkpoint ~interp ?refine
                            ~facts:facts.(k) gens.(k))
                     else None)
                   (List.init cores (fun i -> i))
@@ -572,7 +549,7 @@ let run_campaign ?(params = Generator.default_params) ?(modes = Core.Mode.all)
             let grouped =
               if contended = [] then empty_report
               else
-                check_group ?memo ~checkpoint ~interp ~engine ?refine ~facts
+                check_group ?memo ~checkpoint ~interp ?refine ~facts
                   ~modes:contended gens
             in
             merge_reports (solo @ [ grouped ])))

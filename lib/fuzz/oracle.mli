@@ -55,15 +55,6 @@ type interp = [ `Block | `Reference | `Both ]
     ["interpreter divergence: ..."] violation, and uses the reference
     result for the sandwich. *)
 
-type engine = [ `Context | `Fresh ]
-(** Which analysis engine computes the bound side.  [`Context] (the
-    default) builds one mode-invariant {!Core.Context.t} per task and
-    shares it across every mode's back end and the BCET side —
-    the campaign's dominant cost becomes one front end per task.
-    [`Fresh] re-runs the full front-to-back analysis per mode (the
-    pre-context path, kept selectable as the differential oracle);
-    both engines produce bit-identical reports. *)
-
 type check = {
   mode : mode;
   shape : string;  (** platform/sub-configuration label *)
@@ -99,21 +90,25 @@ type report = {
   errors : string list;  (** infrastructure failures (pool job died) *)
 }
 
+val solo_shapes : unit -> (string * Core.Platform.t) list
+(** The five single-core platforms [Solo] checks, with their CSV shape
+    labels: ["no-l2"], ["l2"], ["tiny-l1"], ["refresh"] and
+    ["method-cache"]. *)
+
 val check_solo :
   ?memo:Core.Memo.t ->
   ?checkpoint:(unit -> unit) ->
   ?interp:interp ->
-  ?engine:engine ->
   ?refine:Refine.config ->
   ?facts:Core.Context.facts Lazy.t ->
   Generator.t ->
   report
-(** The five [Solo] shapes for one program.  Under the [`Context]
-    engine the shapes share one context per L1 geometry (three for the
-    five shapes), all built over one {!Core.Context.facts} value:
-    [facts] when given (it must be the program's), else the check's
-    own.  It is forced inside each shape's guard, so a front end that
-    fails is a violation of each shape.  [checkpoint] is called between
+(** The five {!solo_shapes} for one program.  The shapes share one
+    context per L1 geometry (three for the five shapes), all built over
+    one {!Core.Context.facts} value: [facts] when given (it must be the
+    program's), else the check's own.  It is forced inside each shape's
+    guard, so a front end that fails is a violation of each shape.
+    [checkpoint] is called between
     shapes (pass {!Engine.Pool.check} for cooperative timeouts).
     [refine] turns on infeasible-path refinement on the WCET side
     (salted memo entries, see {!Core.Multicore}); the sandwich then
@@ -123,7 +118,6 @@ val check_group :
   ?memo:Core.Memo.t ->
   ?checkpoint:(unit -> unit) ->
   ?interp:interp ->
-  ?engine:engine ->
   ?refine:Refine.config ->
   ?facts:Core.Context.facts Lazy.t array ->
   modes:mode list ->
@@ -132,9 +126,11 @@ val check_group :
 (** One task group (one task per core, 1..4 cores) through every
     requested contended mode ([Solo] entries are ignored here).
     [Columnized] needs at most as many cores as the L2 has ways (4).
-    Under the [`Context] engine, [facts] (one entry per task, as for
-    {!Core.Multicore.contexts}) lets the group's contexts share the
-    program facts a {!check_solo} of the same task already forced. *)
+    The group's contexts ({!Core.Multicore.contexts}) and its BCETs are
+    built once for every mode, inside each mode's guard, so a front end
+    that fails is an ["analysis failed"] violation of each mode.
+    [facts] (one entry per task) lets the contexts share the program
+    facts a {!check_solo} of the same task already forced. *)
 
 type mode_stats = {
   s_mode : mode;
@@ -171,7 +167,6 @@ val run_campaign :
   ?memo:Core.Memo.t ->
   ?timeout_ns:int64 ->
   ?interp:interp ->
-  ?engine:engine ->
   ?refine:Refine.config ->
   seed:int ->
   count:int ->

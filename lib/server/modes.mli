@@ -82,8 +82,10 @@ val analyze :
 (** [Error] for: BCET under a contended mode (only [Solo] has a defined
     best case here), a task set the analysis rejects
     ({!Core.Wcet.Not_analysable}), or a mode yielding no core-0 result.
-    {!analyze_mode} on a fresh pack; bit-identical to the fresh
-    front-to-back analysis of the mode.  Runs on the calling domain —
+    {!analyze_mode} on a fresh pack; bit-identical to
+    {!Core.Wcet.analyze} for [Solo] and to the mode's
+    [Core.Multicore.analyze_*] call building its own contexts
+    otherwise.  Runs on the calling domain —
     the server submits it to {!Engine.Service}. *)
 
 val analyze_all :

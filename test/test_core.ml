@@ -587,6 +587,25 @@ let test_lifetime_refinement () =
   Alcotest.(check bool) "together overlaps" true
     together.Core.Response_time.overlaps.(0).(1)
 
+(* Every iteration of the refinement bounds the task set on one front
+   end per task. *)
+let test_lifetime_refinement_front_ends () =
+  let task name =
+    let b = Option.get (Workloads.Bench_programs.by_name name) in
+    Some Workloads.Bench_programs.(b.program, b.annot)
+  in
+  let sys =
+    Core.Multicore.default_system ~cores:3
+      ~tasks:[| task "fir"; task "crc"; task "matmul" |]
+  in
+  let r, builds =
+    Front_ends.count (fun () ->
+        Core.Response_time.lifetime_refinement sys
+          ~offsets:[| 0; 0; 1_000_000 |] ())
+  in
+  Alcotest.(check int) "iterations" 2 r.Core.Response_time.iterations;
+  Alcotest.(check int) "ctx.build spans" 3 builds
+
 (* ------------------------------------------------------------------ *)
 (* BCET                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -887,6 +906,15 @@ let test_context_backend_identical () =
 
 let contended_modes = List.filter (( <> ) Core.Mode.Solo) Core.Mode.all
 
+(* The fresh reference: one context per occupied slot, shared with no
+   other slot, so every slot runs its own front and back end. *)
+let unshared_contexts (sys : Core.Multicore.system) =
+  Array.map
+    (Option.map (fun (program, annot) ->
+         Core.Context.build ~annot ~l1i:sys.Core.Multicore.l1i
+           ~l1d:sys.Core.Multicore.l1d program))
+    sys.Core.Multicore.tasks
+
 (* Every slot of a shared-context analysis against the fresh per-slot
    one: the store entry, the attribution rows and the core id. *)
 let check_slots label fresh shared =
@@ -913,7 +941,7 @@ let check_slots label fresh shared =
 (* One context per distinct task, and one back end per distinct slot:
    over the catalog, cores 1-4, three arbiters (round-robin, TDMA,
    weighted with a different wait per core) and the seven contended
-   modes, the shared path equals the fresh one on every slot. *)
+   modes, the shared path equals one context per slot on every slot. *)
 let test_context_shared_across_slots () =
   let sys = mk_system 4 in
   let ctxs = Core.Multicore.contexts sys in
@@ -960,7 +988,7 @@ let test_context_shared_across_slots () =
                      b.Workloads.Bench_programs.name cores
                      (Interconnect.Arbiter.describe arbiter)
                      (Core.Mode.name mode))
-                  (Core.Mode.analyze sys mode)
+                  (Core.Mode.analyze ~ctxs:(unshared_contexts sys) sys mode)
                   (Core.Mode.analyze ~ctxs sys mode))
               contended_modes)
           (arbiters cores)
@@ -969,7 +997,8 @@ let test_context_shared_across_slots () =
 
 (* Joint analysis over [A; A; B] where only slots 0 and 2 run at the
    same time: slots 0 and 1 share a context but not their conflicts, so
-   each keeps its own back end, and every slot equals the fresh one. *)
+   each keeps its own back end, and every slot equals the unshared
+   reference. *)
 let test_context_shared_overlaps () =
   let suite = Array.of_list (Workloads.Bench_programs.suite ()) in
   let overlaps i j = i <> j && i + j = 2 in
@@ -990,7 +1019,8 @@ let test_context_shared_overlaps () =
             (Printf.sprintf "[%s; %s; %s], bypass %b"
                a.Workloads.Bench_programs.name a.Workloads.Bench_programs.name
                b.Workloads.Bench_programs.name bypass)
-            (Core.Multicore.analyze_joint sys ~bypass ~overlaps ())
+            (Core.Multicore.analyze_joint ~ctxs:(unshared_contexts sys) sys
+               ~bypass ~overlaps ())
             (Core.Multicore.analyze_joint ~ctxs sys ~bypass ~overlaps ()))
         [ false; true ])
     suite
@@ -1029,6 +1059,29 @@ let test_context_one_backend_per_slot () =
         (Core.Mode.name mode ^ ": ipet-solve spans")
         (solves * procs) calls)
     contended_modes [ 1; 1; 1; 1; 1; 2; 1 ]
+
+(* A call without contexts builds its own, one per distinct task, and
+   bounds every slot on them: one front end per mode call on an
+   identical 4-slot group, where one context per slot would be 4. *)
+let test_context_built_per_call () =
+  let b = Option.get (Workloads.Bench_programs.by_name "fir") in
+  let task = Workloads.Bench_programs.(b.program, b.annot) in
+  let sys =
+    Core.Multicore.default_system ~cores:4 ~tasks:(Array.make 4 (Some task))
+  in
+  let ctxs = Core.Multicore.contexts sys in
+  List.iter
+    (fun mode ->
+      let own, builds =
+        Front_ends.count (fun () -> Core.Mode.analyze sys mode)
+      in
+      Alcotest.(check int)
+        (Core.Mode.name mode ^ ": ctx.build spans")
+        1 builds;
+      check_slots (Core.Mode.name mode)
+        (Core.Mode.analyze ~ctxs sys mode)
+        own)
+    contended_modes
 
 (* ------------------------------------------------------------------ *)
 (* Approach modes                                                     *)
@@ -1407,6 +1460,8 @@ let () =
             test_context_shared_overlaps;
           Alcotest.test_case "one back end per distinct slot" `Quick
             test_context_one_backend_per_slot;
+          Alcotest.test_case "one front end per call without contexts" `Quick
+            test_context_built_per_call;
         ] );
       ( "scheduling",
         [
@@ -1414,6 +1469,8 @@ let () =
           Alcotest.test_case "unschedulable" `Quick test_np_unschedulable;
           Alcotest.test_case "lifetime refinement" `Quick
             test_lifetime_refinement;
+          Alcotest.test_case "lifetime refinement front ends" `Quick
+            test_lifetime_refinement_front_ends;
         ] );
       ( "predictability",
         [

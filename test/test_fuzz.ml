@@ -109,14 +109,40 @@ let prop_solo_sandwich =
       let r = O.check_solo t in
       r.O.violations = [] && r.O.errors = [] && r.O.checks <> [])
 
-(* The differential oracle for the shared-context engine: the whole
-   report — every wcet, bcet, attribution vector, check row, violation
-   and error — must be structurally identical between the context-based
-   and the fresh per-mode analysis, over every mode.  [report] is pure
-   data (ints, strings, cost vectors), so polymorphic equality IS
-   bit-identity here.  The context engine runs twice: with each check's
-   own program facts, and with one lazy facts value per task shared by
-   the task's solo check and the group check, as [run_campaign] does. *)
+let merge (rs : O.report list) =
+  {
+    O.checks = List.concat_map (fun (r : O.report) -> r.O.checks) rs;
+    violations = List.concat_map (fun (r : O.report) -> r.O.violations) rs;
+    errors = List.concat_map (fun (r : O.report) -> r.O.errors) rs;
+  }
+
+(* A solo check's bound side against the fresh per-call analyses
+   ([Core.Wcet.analyze] and [Core.Bcet.analyze] each build their own
+   context) on the platform of the check's shape. *)
+let solo_check_is_fresh (t : G.t) (c : O.check) =
+  let platform = List.assoc c.O.shape (O.solo_shapes ()) in
+  let w = Core.Wcet.analyze ~annot:t.G.annot platform t.G.program
+  and b = Core.Bcet.analyze ~annot:t.G.annot platform t.G.program in
+  let root_vec =
+    match List.rev w.Core.Wcet.procs with
+    | (_, pr) :: _ -> pr.Core.Wcet.wcet_vec
+    | [] -> Pipeline.Cost.Vec.zero
+  in
+  c.O.bcet = b.Core.Bcet.bcet
+  && c.O.wcet = w.Core.Wcet.wcet
+  && c.O.unrefined = w.Core.Wcet.unrefined_wcet
+  && c.O.a_vec = root_vec
+
+(* The differential oracle for the shared contexts: every wcet, bcet,
+   attribution vector, check row, violation and error must be
+   structurally identical to a reference that shares nothing.  [report]
+   is pure data (ints, strings, cost vectors), so polymorphic equality
+   IS bit-identity here.  A group checked over every mode on one
+   context pack must equal the merge of one check per mode, each
+   building its own contexts; each solo check must equal the fresh
+   analyses of its shape.  The shared-facts variants then run with one
+   lazy facts value per task shared by the task's solo check and the
+   group check, as [run_campaign] does. *)
 let prop_engines_bit_identical =
   QCheck.Test.make
     ~name:"context engine bit-identical to fresh (8 modes + solo shapes)"
@@ -126,19 +152,21 @@ let prop_engines_bit_identical =
       let ta = G.assemble ~name:"qcheck-a" pa
       and tb = G.assemble ~name:"qcheck-b" pb in
       let group = [| ta; tb |] in
-      let fresh_group = O.check_group ~modes:O.all_modes ~engine:`Fresh group
-      and fresh_solo = O.check_solo ~engine:`Fresh ta in
+      let shared_group = O.check_group ~modes:O.all_modes group
+      and solo = O.check_solo ta in
       let facts =
         Array.map
           (fun (t : G.t) ->
             lazy (Core.Context.facts ~annot:t.G.annot t.G.program))
           group
       in
-      O.check_group ~modes:O.all_modes ~engine:`Context group = fresh_group
-      && O.check_solo ~engine:`Context ta = fresh_solo
-      && O.check_solo ~engine:`Context ~facts:facts.(0) ta = fresh_solo
-      && O.check_group ~modes:O.all_modes ~engine:`Context ~facts group
-         = fresh_group)
+      shared_group
+      = merge
+          (List.map (fun m -> O.check_group ~modes:[ m ] group) O.all_modes)
+      && List.length solo.O.checks = List.length (O.solo_shapes ())
+      && List.for_all (solo_check_is_fresh ta) solo.O.checks
+      && O.check_solo ~facts:facts.(0) ta = solo
+      && O.check_group ~modes:O.all_modes ~facts group = shared_group)
 
 (* ------------------------------------------------------------------ *)
 (* Generator determinism                                               *)
@@ -181,18 +209,68 @@ let test_campaign_worker_independent () =
   Alcotest.(check string) "1 worker = 4 workers" (run 1) (run 4)
 
 (* The campaign shares each task's program facts between its solo and
-   group checks; the fresh engine builds nothing shared. *)
+   group checks, and each group's contexts between its modes; a
+   campaign per mode shares only within that mode.  Both hold the same
+   checks. *)
 let test_campaign_engines_identical () =
   List.iter
     (fun seed ->
-      let run engine =
-        (O.run_campaign ~seed ~count:8 ~cores:2 ~workers:1 ~engine ()).O.report
+      let run modes =
+        (O.run_campaign ~modes ~seed ~count:8 ~cores:2 ~workers:1 ()).O.report
       in
+      let all = run O.all_modes in
+      List.iter
+        (fun m ->
+          let one = run [ m ] in
+          Alcotest.(check bool)
+            (Printf.sprintf "seed %d, %s: all-modes checks = per-mode checks"
+               seed (O.mode_name m))
+            true
+            (List.filter (fun (c : O.check) -> c.O.mode = m) all.O.checks
+             = one.O.checks
+            && one.O.violations = [] && one.O.errors = []))
+        O.all_modes;
       Alcotest.(check bool)
-        (Printf.sprintf "seed %d: context report = fresh report" seed)
+        (Printf.sprintf "seed %d: no violations or errors" seed)
         true
-        (run `Context = run `Fresh))
+        (all.O.violations = [] && all.O.errors = []))
     [ 11; 12 ]
+
+(* A task whose front end fails is an "analysis failed" violation of
+   every contended mode, carrying the group's source, not an exception
+   out of the check that would lose its pool job's other reports. *)
+let test_group_front_end_failure () =
+  (* an I/O-polling loop with no annotation has no inferable bound *)
+  let source =
+    "main:\nspin:\n  ld.io r1, 0(r0)\n  bne r1, r0, spin\n  halt\n"
+  in
+  let healthy = G.generate ~seed:3 ~index:0 () in
+  let spin =
+    {
+      G.name = "spin";
+      pieces = [];
+      source;
+      program = Isa.Asm.parse ~name:"spin" source;
+      annot = Dataflow.Annot.empty;
+      data_init = [];
+    }
+  in
+  let r = O.check_group ~modes:O.all_modes [| spin; healthy |] in
+  Alcotest.(check (list string))
+    "one violation per contended mode"
+    (List.map O.mode_name (List.filter (( <> ) O.Solo) O.all_modes))
+    (List.map (fun (v : O.violation) -> O.mode_name v.O.v_mode)
+       r.O.violations);
+  List.iter
+    (fun (v : O.violation) ->
+      Alcotest.(check bool)
+        (O.mode_name v.O.v_mode ^ ": analysis failed")
+        true
+        (Astring.String.is_prefix ~affix:"analysis failed: " v.O.reason
+        && v.O.v_task = "spin+" ^ healthy.G.name
+        && v.O.source = source))
+    r.O.violations;
+  Alcotest.(check int) "no checks" 0 (List.length r.O.checks)
 
 let test_campaign_rejects_bad_inputs () =
   let raises f =
@@ -276,6 +354,8 @@ let () =
             test_campaign_engines_identical;
           Alcotest.test_case "rejects bad inputs" `Quick
             test_campaign_rejects_bad_inputs;
+          Alcotest.test_case "front-end failure fails each mode" `Quick
+            test_group_front_end_failure;
           Alcotest.test_case "csv shape" `Quick test_csv_shape;
           Alcotest.test_case "work counts pinned" `Quick
             test_campaign_work_counts;

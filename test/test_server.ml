@@ -778,23 +778,6 @@ let catalog name =
   | Some b -> (b.B.program, b.B.annot)
   | None -> Alcotest.failf "no catalog program %s" name
 
-(* The number of front ends [f] builds: its balanced ctx.build spans. *)
-let ctx_builds f =
-  let sink = Obs.Sink.create () in
-  let r = Obs.with_sink sink f in
-  let builds =
-    List.fold_left
-      (fun acc tr ->
-        List.fold_left
-          (fun acc (e : Obs.Event.t) ->
-            match e.Obs.Event.kind with
-            | Obs.Event.Begin { name = "ctx.build"; _ } -> acc + 1
-            | _ -> acc)
-          acc (Obs.Sink.events tr))
-      0 (Obs.Sink.tracks sink)
-  in
-  (r, builds)
-
 let test_one_front_end_per_request () =
   List.iter
     (fun name ->
@@ -803,13 +786,13 @@ let test_one_front_end_per_request () =
         (fun mode ->
           let label = name ^ "/" ^ Core.Mode.name mode in
           let r, builds =
-            ctx_builds (fun () ->
+            Front_ends.count (fun () ->
                 Modes.analyze ~mode ~cores:2 ~kind:Modes.Wcet task)
           in
           Alcotest.(check bool) (label ^ " analyzed") true (Result.is_ok r);
           Alcotest.(check int) (label ^ " builds one context") 1 builds;
           let r, builds =
-            ctx_builds (fun () ->
+            Front_ends.count (fun () ->
                 Modes.analyze ~mode ~cores:2 ~kind:Modes.Bcet task)
           in
           let expected = if mode = Core.Mode.Solo then 1 else 0 in
@@ -819,13 +802,13 @@ let test_one_front_end_per_request () =
           Alcotest.(check int) (label ^ " bcet contexts") expected builds)
         Core.Mode.all;
       let _, builds =
-        ctx_builds (fun () ->
+        Front_ends.count (fun () ->
             Modes.analyze_all ~cores:2 ~kind:Modes.Wcet task)
       in
       Alcotest.(check int) (name ^ " sweep builds two contexts") 2 builds;
       (* attribute's path: every mode plus the helpers on one pack *)
       let _, builds =
-        ctx_builds (fun () ->
+        Front_ends.count (fun () ->
             let pack = Modes.pack ~cores:2 task in
             List.iter
               (fun mode ->
@@ -836,8 +819,10 @@ let test_one_front_end_per_request () =
       Alcotest.(check int) (name ^ " one pack builds two contexts") 2 builds)
     [ "crc"; "calls" ]
 
-(* The fresh front-to-back analysis of a mode, as [Modes] ran it before
-   requests shared a context pack: the differential reference. *)
+(* A mode's bound from the direct entry points, each call building its
+   own front end ([Core.Wcet.analyze] for [Solo], the mode's
+   [Multicore.analyze_*] call without contexts otherwise): the
+   differential reference for the request's pack. *)
 let fresh_entry ?refine ~cores mode ((program, annot) as task) =
   let sys = MC.default_system ~cores ~tasks:(Array.make cores (Some task)) in
   let core0 results =
