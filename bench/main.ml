@@ -626,7 +626,7 @@ let t13 () =
   rule 58;
   List.iter
     (fun (label, offsets) ->
-      let r = Core.Response_time.lifetime_refinement ~memo sys ~offsets () in
+      let r = Core.Response_time.lifetime_refinement ~memo sys ~offsets in
       let overlapping =
         let n = Array.length tasks in
         let c = ref 0 in

@@ -53,15 +53,6 @@ module Table = struct
 end
 
 type t = {
-  config : Config.t;
-  graph : Cfg.Graph.t;
-  accesses_of : access list array;  (** per block *)
-  had_call : bool array;
-  must_ins : Acs.t array;
-  may_ins : Acs.t array;
-  pers_ins : Acs.t array;
-  must_outs : Acs.t array;
-  may_outs : Acs.t array;
   points : (access * classification) Table.t;
   sorted : (access * classification) list;  (** instruction order *)
 }
@@ -74,7 +65,10 @@ let instruction_accesses config g id =
       { instr = i; kind = Fetch; target = Lines [ Config.line_of_addr config addr ] })
     (Cfg.Block.instr_indices b)
 
-let data_accesses config g va ?(max_lines = 16) id =
+(* An address interval over more lines than this becomes [Unknown]. *)
+let max_data_lines = 16
+
+let data_accesses config g va id =
   let b = Cfg.Graph.block g id in
   (* Value states before each instruction, built in one pass over the
      block the first time a cacheable access needs one. *)
@@ -101,7 +95,7 @@ let data_accesses config g va ?(max_lines = 16) id =
               let l_lo = Config.line_of_addr config a_lo in
               let l_hi = Config.line_of_addr config a_hi in
               (* A negative byte address maps to no line of any cache. *)
-              if a_lo < 0 || l_hi - l_lo + 1 > max_lines then
+              if a_lo < 0 || l_hi - l_lo + 1 > max_data_lines then
                 Some { instr = i; kind = Data; target = Unknown }
               else
                 Some
@@ -127,16 +121,6 @@ let apply_access_guided ~must pers a =
   | Lines ls -> Acs.access_one_of_guided pers ~must ls
   | Unknown -> Acs.access_unknown pers
 
-(* The state before each access of a block, replayed once from the
-   block's fixpoint input.  The persistence transfers read the must state
-   from here, so a fixpoint iteration does not re-step it. *)
-let states_before step input accesses =
-  snd (List.fold_left_map (fun st a -> (step st a, st)) input accesses)
-
-let transfer acs accesses ~had_call =
-  let acs = List.fold_left apply_access acs accesses in
-  if had_call then Acs.havoc acs else acs
-
 let entry_acs config entry kind =
   let cold = Acs.empty config kind in
   match (entry, kind) with
@@ -145,56 +129,68 @@ let entry_acs config entry kind =
   | Unknown_entry, Acs.May -> Acs.havoc cold
   | Unknown_entry, Acs.Pers -> cold
 
-(* Per-domain monotone sweep counter shared by every cache fixpoint in
-   this library (must/may/persistence here, the L2 fixpoints in
-   Multilevel): a reader takes it before and after a piece of work and
-   charges the difference.  The ledger and bench/perf.ml read it. *)
+(* Per-domain monotone sweep counter shared by every cache fixpoint (the
+   L1 and L2 levels alike): a reader takes it before and after a piece of
+   work and charges the difference.  The ledger and bench/perf.ml read
+   it. *)
 let fixpoint_iters_key = Domain.DLS.new_key (fun () -> ref 0)
 let fixpoint_iterations () = !(Domain.DLS.get fixpoint_iters_key)
 let count_fixpoint_iteration () = incr (Domain.DLS.get fixpoint_iters_key)
 
-let fixpoint_name level kind =
-  Printf.sprintf "cache.%s.%s" level
-    (match (kind : Acs.kind) with
-    | Acs.Must -> "must"
-    | Acs.May -> "may"
-    | Acs.Pers -> "pers")
+let kind_name = function
+  | Acs.Must -> "must"
+  | Acs.May -> "may"
+  | Acs.Pers -> "pers"
 
-let fixpoint config g ~entry ~accesses_of ~had_call kind =
-  let entry_state = entry_acs config entry kind in
-  let ins, outs =
-    Dataflow.Worklist.solve g ~name:(fixpoint_name "l1" kind)
-      ~entry_fact:entry_state ~join:Acs.join ~equal:Acs.equal
-      ~transfer:(fun id input ->
-        transfer input accesses_of.(id) ~had_call:had_call.(id))
-      ~on_round:count_fixpoint_iteration ()
-  in
-  let force = function
-    | Some x -> x
-    | None -> entry_acs config entry kind (* unreachable block: any state *)
-  in
-  (Array.map force ins, Array.map force outs)
+(* The state before each access of a block, replayed once from the
+   block's fixpoint input.  The persistence transfers read the must state
+   from here, so a fixpoint iteration does not re-step it. *)
+let states_before step input accesses =
+  snd (List.fold_left_map (fun st a -> (step st a, st)) input accesses)
 
-(* Fixpoint for the persistence state, with the must state before each
-   access steering that access's aging. *)
-let pers_fixpoint config g ~entry ~accesses_of ~had_call ~must_before =
-  let entry_state = entry_acs config entry Acs.Pers in
-  let transfer_pers id pers =
-    let pers =
-      List.fold_left2
-        (fun pers must a -> apply_access_guided ~must pers a)
-        pers must_before.(id) accesses_of.(id)
+let level config g ~name ~entry ~accesses ~step ~pers_step ~visit =
+  let n = Cfg.Graph.num_blocks g in
+  let accesses = Array.init n accesses in
+  let had_call =
+    Array.init n (fun id -> Cfg.Graph.callee_of_block g id <> None)
+  in
+  let fixpoint kind transfer =
+    let entry_state = entry_acs config entry kind in
+    let ins, _ =
+      Dataflow.Worklist.solve g
+        ~name:(Printf.sprintf "cache.%s.%s" name (kind_name kind))
+        ~entry_fact:entry_state ~join:Acs.join ~equal:Acs.equal
+        ~transfer:(fun id input ->
+          let out = transfer id input in
+          if had_call.(id) then Acs.havoc out else out)
+        ~on_round:count_fixpoint_iteration ()
     in
-    if had_call.(id) then Acs.havoc pers else pers
+    (* An unreachable block keeps the entry state: any state is sound. *)
+    Array.map (function Some x -> x | None -> entry_state) ins
   in
-  let ins, outs =
-    Dataflow.Worklist.solve g
-      ~name:(fixpoint_name "l1" Acs.Pers)
-      ~entry_fact:entry_state ~join:Acs.join ~equal:Acs.equal
-      ~transfer:transfer_pers ~on_round:count_fixpoint_iteration ()
+  let stepped id acs = List.fold_left step acs accesses.(id) in
+  let must_ins = fixpoint Acs.Must stepped in
+  let must_before = Array.map2 (states_before step) must_ins accesses in
+  let may_ins = fixpoint Acs.May stepped in
+  let guided pers must a = pers_step ~must pers a in
+  let pers_ins =
+    fixpoint Acs.Pers (fun id pers ->
+        List.fold_left2 guided pers must_before.(id) accesses.(id))
   in
-  let force = function Some x -> x | None -> entry_state in
-  (Array.map force ins, Array.map force outs)
+  (* Replay the may and persistence states through each block, handing
+     every access the three states before it. *)
+  let replay (may, pers) must a =
+    visit ~must ~may ~pers a;
+    (step may a, guided pers must a)
+  in
+  for id = 0 to n - 1 do
+    let (_ : Acs.t * Acs.t) =
+      List.fold_left2 replay
+        (may_ins.(id), pers_ins.(id))
+        must_before.(id) accesses.(id)
+    in
+    ()
+  done
 
 let classify config ~must ~may ~pers target =
   let assoc = config.Config.assoc in
@@ -224,51 +220,12 @@ let classify config ~must ~may ~pers target =
           if persistent then Persistent else Not_classified
 
 let analyze config g ~entry ~accesses =
-  let n = Cfg.Graph.num_blocks g in
-  let accesses_of = Array.init n accesses in
-  let had_call =
-    Array.init n (fun id -> Cfg.Graph.callee_of_block g id <> None)
-  in
-  let must_ins, must_outs =
-    fixpoint config g ~entry ~accesses_of ~had_call Acs.Must
-  in
-  let must_before =
-    Array.map2 (states_before apply_access) must_ins accesses_of
-  in
-  let may_ins, may_outs =
-    fixpoint config g ~entry ~accesses_of ~had_call Acs.May
-  in
-  let pers_ins, _ =
-    pers_fixpoint config g ~entry ~accesses_of ~had_call ~must_before
-  in
   let points = Table.create g in
-  for id = 0 to n - 1 do
-    (* Replay the may and persistence states through the block,
-       classifying at each access point. *)
-    let (_ : Acs.t * Acs.t) =
-      List.fold_left2
-        (fun (may, pers) must a ->
-          Table.set points a.kind a.instr
-            (a, classify config ~must ~may ~pers a.target);
-          (apply_access may a, apply_access_guided ~must pers a))
-        (may_ins.(id), pers_ins.(id))
-        must_before.(id) accesses_of.(id)
-    in
-    ()
-  done;
-  {
-    config;
-    graph = g;
-    accesses_of;
-    had_call;
-    must_ins;
-    may_ins;
-    pers_ins;
-    must_outs;
-    may_outs;
-    points;
-    sorted = Table.to_list points;
-  }
+  level config g ~name:"l1" ~entry ~accesses ~step:apply_access
+    ~pers_step:apply_access_guided ~visit:(fun ~must ~may ~pers a ->
+      Table.set points a.kind a.instr
+        (a, classify config ~must ~may ~pers a.target));
+  { points; sorted = Table.to_list points }
 
 let classification t ?(kind = Fetch) instr =
   snd (Table.find t.points kind instr)
@@ -279,19 +236,3 @@ let persistent_miss_count t =
   List.fold_left
     (fun acc (_, c) -> if c = Persistent then acc + 1 else acc)
     0 t.sorted
-
-let must_in t id = t.must_ins.(id)
-let may_in t id = t.may_ins.(id)
-let pers_in t id = t.pers_ins.(id)
-let must_out t id = t.must_outs.(id)
-let may_out t id = t.may_outs.(id)
-
-let reachable_lines t =
-  let lines = ref [] in
-  Array.iter
-    (List.iter (fun a ->
-         match a.target with
-         | Lines ls -> lines := ls @ !lines
-         | Unknown -> ()))
-    t.accesses_of;
-  List.sort_uniq compare !lines

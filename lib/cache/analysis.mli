@@ -2,10 +2,14 @@
     CFG plus per-access classification (Section 2.1 of the paper: accesses
     get a category ALWAYS_HIT / ALWAYS_MISS / PERSISTENT / NOT_CLASSIFIED).
 
-    The same engine serves the instruction cache (every instruction fetch
-    is an access at a statically known address) and the data cache
-    (load/store addresses come from the interval value analysis; imprecise
-    addresses degrade to small line sets or to [Unknown]). *)
+    One engine, {!level}, runs the three fixpoints of a cache level and
+    replays each block once to hand every access the states before it.
+    {!analyze} is its L1 instance, for the instruction cache (every
+    instruction fetch is an access at a statically known address) and
+    the data cache (load/store addresses come from the interval value
+    analysis; imprecise addresses degrade to small line sets or to
+    [Unknown]); {!Multilevel.analyze} is its L2 instance.  An L1 result
+    keeps only each access with its classification. *)
 
 type target =
   | Lines of int list  (** the access touches exactly one of these lines *)
@@ -59,13 +63,35 @@ val data_accesses :
   Config.t ->
   Cfg.Graph.t ->
   Dataflow.Value_analysis.result ->
-  ?max_lines:int ->
   Cfg.Block.id ->
   access list
 (** Accesses for loads/stores to cacheable spaces.  Address intervals
-    spanning more than [max_lines] lines (default 16), or reaching below
-    byte address 0, become [Unknown].
+    spanning more than 16 lines, or reaching below byte address 0, become
+    [Unknown].
     [Io]-space accesses are omitted (uncached). *)
+
+val level :
+  Config.t ->
+  Cfg.Graph.t ->
+  name:string ->
+  entry:entry_state ->
+  accesses:(Cfg.Block.id -> 'a list) ->
+  step:(Acs.t -> 'a -> Acs.t) ->
+  pers_step:(must:Acs.t -> Acs.t -> 'a -> Acs.t) ->
+  visit:(must:Acs.t -> may:Acs.t -> pers:Acs.t -> 'a -> unit) ->
+  unit
+(** The analysis of one cache level.  [accesses] lists each block's
+    accesses in program order.  The must and may fixpoints apply [step]
+    to each; the persistence fixpoint applies [pers_step], guided by the
+    must state before the same access.  A block that calls havocs all
+    three states at its end.  [entry] gives the entry states: cold, or
+    for [Unknown_entry] a may state in which any line may be cached.
+    The fixpoints run through {!Dataflow.Worklist.solve} under the span
+    names ["cache.<name>.must"], ["cache.<name>.may"] and
+    ["cache.<name>.pers"], counted by {!fixpoint_iterations}.  Then each
+    block is replayed once, and [visit] sees every access in program
+    order with the three states before it.  An unreachable block starts
+    from the entry states. *)
 
 val analyze :
   Config.t ->
@@ -73,6 +99,8 @@ val analyze :
   entry:entry_state ->
   accesses:(Cfg.Block.id -> access list) ->
   t
+(** {!level} ["l1"] over [accesses], recording each access's
+    {!classify} category. *)
 
 val classification : t -> ?kind:kind -> int -> classification
 (** Classification of the access at the given instruction index (default
@@ -87,16 +115,6 @@ val persistent_miss_count : t -> int
 (** Number of accesses classified [Persistent]; each contributes at most
     one miss per procedure execution (charged by the WCET composition). *)
 
-val must_in : t -> Cfg.Block.id -> Acs.t
-val may_in : t -> Cfg.Block.id -> Acs.t
-val pers_in : t -> Cfg.Block.id -> Acs.t
-val must_out : t -> Cfg.Block.id -> Acs.t
-val may_out : t -> Cfg.Block.id -> Acs.t
-
-val reachable_lines : t -> int list
-(** All lines any access of the procedure may touch (sorted): the
-    procedure's cache footprint, used by shared-cache conflict analysis. *)
-
 val classify :
   Config.t ->
   must:Acs.t ->
@@ -110,25 +128,9 @@ val classify :
     for a single line younger than [assoc] in [pers].  Exposed so that
     {!Multilevel} classifies L2 accesses by the same rules. *)
 
-val transfer : Acs.t -> access list -> had_call:bool -> Acs.t
-(** Exposed for the multilevel/shared analyses and tests. *)
-
 val fixpoint_iterations : unit -> int
 (** Monotone count of abstract-interpretation sweeps (one per pass over
     the CFG of any must/may/persistence/L2 fixpoint) performed *by the
     calling domain*.  Read before and after an analysis and subtract
     (the ledger and bench/perf.ml do); per-domain storage keeps parallel
     analyses race-free. *)
-
-val states_before : ('s -> 'a -> 's) -> 's -> 'a list -> 's list
-(** [states_before step input accesses]: the state before each access
-    when [step] replays them from a block's fixpoint input.  The
-    persistence fixpoints read the must state there; exposed for
-    {!Multilevel}. *)
-
-val count_fixpoint_iteration : unit -> unit
-(** Exposed for {!Multilevel}'s L2 fixpoints; not for external use. *)
-
-val fixpoint_name : string -> Acs.kind -> string
-(** ["cache.<level>.<must|may|pers>"] — the {!Dataflow.Worklist} span
-    name for a cache fixpoint; exposed for {!Multilevel}. *)

@@ -18,7 +18,7 @@ type t = {
   bypass : int -> bool;
 }
 
-let cac_of_l1 l1 (a : Analysis.access) =
+let cac_of_l1_analysis l1 (a : Analysis.access) =
   match Analysis.classification l1 ~kind:a.Analysis.kind a.Analysis.instr with
   | Analysis.Always_hit -> Never
   | Analysis.Always_miss -> Always
@@ -46,59 +46,18 @@ let apply_l2_with step bypass acs ((a : Analysis.access), cac) =
         | [] -> acs
         | live -> step ~uncertain:(cac = Uncertain) acs live)
 
-let apply_l2 bypass =
+let apply_l2 bypass acs ac =
   apply_l2_with
     (fun ~uncertain acs live -> Acs.access_one_of ~uncertain acs live)
-    bypass
+    bypass acs ac
 
 (* Persistence step at L2, guided by the L2 must state before the same
    access. *)
-let apply_l2_pers bypass ~must =
+let apply_l2_pers bypass ~must pers ac =
   apply_l2_with
     (fun ~uncertain pers live ->
       Acs.access_one_of_guided ~uncertain pers ~must live)
-    bypass
-
-let pers_fixpoint_l2 config g ~entry ~tagged ~had_call bypass ~must_before =
-  let entry_state =
-    match entry with
-    | Analysis.Cold | Analysis.Unknown_entry -> Acs.empty config Acs.Pers
-  in
-  let transfer id pers =
-    let pers =
-      List.fold_left2
-        (fun pers must ac -> apply_l2_pers bypass ~must pers ac)
-        pers must_before.(id) tagged.(id)
-    in
-    if had_call.(id) then Acs.havoc pers else pers
-  in
-  let ins, outs =
-    Dataflow.Worklist.solve g
-      ~name:(Analysis.fixpoint_name "l2" Acs.Pers)
-      ~entry_fact:entry_state ~join:Acs.join ~equal:Acs.equal ~transfer
-      ~on_round:Analysis.count_fixpoint_iteration ()
-  in
-  let force = function Some x -> x | None -> entry_state in
-  (Array.map force ins, Array.map force outs)
-
-let fixpoint_l2 config g ~entry ~tagged ~had_call bypass kind =
-  let entry_state =
-    match (entry, kind) with
-    | Analysis.Cold, _ -> Acs.empty config kind
-    | Analysis.Unknown_entry, Acs.May -> Acs.havoc (Acs.empty config kind)
-    | Analysis.Unknown_entry, (Acs.Must | Acs.Pers) -> Acs.empty config kind
-  in
-  let transfer id acs =
-    let acs = List.fold_left (apply_l2 bypass) acs tagged.(id) in
-    if had_call.(id) then Acs.havoc acs else acs
-  in
-  let ins, outs =
-    Dataflow.Worklist.solve g ~name:(Analysis.fixpoint_name "l2" kind)
-      ~entry_fact:entry_state ~join:Acs.join ~equal:Acs.equal ~transfer
-      ~on_round:Analysis.count_fixpoint_iteration ()
-  in
-  let force = function Some x -> x | None -> entry_state in
-  (Array.map force ins, Array.map force outs)
+    bypass pers ac
 
 let ages_of acs target =
   match (target : Analysis.target) with
@@ -107,62 +66,35 @@ let ages_of acs target =
 
 let analyze config g ~entry ~cac_of ~l2_accesses ?(bypass = fun _ -> false)
     () =
-  let n = Cfg.Graph.num_blocks g in
-  let accesses_of = Array.init n l2_accesses in
-  let had_call =
-    Array.init n (fun id -> Cfg.Graph.callee_of_block g id <> None)
-  in
-  let tagged =
-    Array.map
-      (List.map (fun (a : Analysis.access) -> (a, cac_of a)))
-      accesses_of
-  in
-  let must_ins, _ =
-    fixpoint_l2 config g ~entry ~tagged ~had_call bypass Acs.Must
-  in
-  let must_before =
-    Array.map2 (Analysis.states_before (apply_l2 bypass)) must_ins tagged
-  in
-  let may_ins, _ =
-    fixpoint_l2 config g ~entry ~tagged ~had_call bypass Acs.May
-  in
-  let pers_ins, _ =
-    pers_fixpoint_l2 config g ~entry ~tagged ~had_call bypass ~must_before
-  in
   let by_instr = Analysis.Table.create g in
-  for id = 0 to n - 1 do
-    let (_ : Acs.t * Acs.t) =
-      List.fold_left2
-        (fun (may, pers) must (((a : Analysis.access), cac) as ac) ->
-          let l2_class =
-            if cac = Never then Analysis.Always_hit
-            else
-              (* Bypassed lines never enter L2. *)
-              match a.target with
-              | Analysis.Unknown -> Analysis.Not_classified
-              | Analysis.Lines ls -> (
-                  match live_lines bypass ls with
-                  | [] -> Analysis.Always_miss
-                  | live ->
-                      Analysis.classify config ~must ~may ~pers
-                        (Analysis.Lines live))
-          in
-          Analysis.Table.set by_instr a.kind a.instr
-            {
-              instr = a.instr;
-              kind = a.kind;
-              target = a.target;
-              cac;
-              l2_class;
-              must_ages = ages_of must a.target;
-              pers_ages = ages_of pers a.target;
-            };
-          (apply_l2 bypass may ac, apply_l2_pers bypass ~must pers ac))
-        (may_ins.(id), pers_ins.(id))
-        must_before.(id) tagged.(id)
-    in
-    ()
-  done;
+  Analysis.level config g ~name:"l2" ~entry
+    ~accesses:(fun id ->
+      List.map (fun (a : Analysis.access) -> (a, cac_of a)) (l2_accesses id))
+    ~step:(apply_l2 bypass) ~pers_step:(apply_l2_pers bypass)
+    ~visit:(fun ~must ~may ~pers ((a : Analysis.access), cac) ->
+      let l2_class =
+        if cac = Never then Analysis.Always_hit
+        else
+          (* Bypassed lines never enter L2. *)
+          match a.target with
+          | Analysis.Unknown -> Analysis.Not_classified
+          | Analysis.Lines ls -> (
+              match live_lines bypass ls with
+              | [] -> Analysis.Always_miss
+              | live ->
+                  Analysis.classify config ~must ~may ~pers
+                    (Analysis.Lines live))
+      in
+      Analysis.Table.set by_instr a.kind a.instr
+        {
+          instr = a.instr;
+          kind = a.kind;
+          target = a.target;
+          cac;
+          l2_class;
+          must_ages = ages_of must a.target;
+          pers_ages = ages_of pers a.target;
+        });
   let infos = Analysis.Table.to_list by_instr in
   let unknown_target =
     List.exists
@@ -180,7 +112,6 @@ let classification t ?(kind = Analysis.Fetch) instr =
 
 let cac t ?(kind = Analysis.Fetch) instr = (find t kind instr).cac
 
-let cac_of_l1_analysis l1 = cac_of_l1 l1
 let access_infos t = t.infos
 
 let persistent_miss_count t =

@@ -1,6 +1,9 @@
 (** Multi-level cache analysis: composes an L1 analysis with an L2
     analysis through cache access classifications (CAC), following Hardy &
-    Puaut's approach referenced in Section 4.1 of the paper.
+    Puaut's approach referenced in Section 4.1 of the paper.  The L2
+    analysis is the L1 engine, {!Analysis.level}, run over the accesses
+    that may miss L1 with CAC- and bypass-aware steps; each access keeps
+    its L2 must and persistence ages.
 
     An access reaches L2 only when it misses L1:
     - L1 [Always_hit] -> [Never] accesses L2;

@@ -54,9 +54,14 @@ type proc = {
           {!Wcet.analyze} consumes *)
   va_plain : Dataflow.Value_analysis.result Lazy.t;
       (** the sound default (every register forgotten at calls) — the
-          flavor the {!Multicore} bypass/locking helpers consume; the
+          flavor the {!Multicore} bypass/locking helpers consume.  The
           two yield different access-target sets, so both are kept to
-          preserve bit-identity of each consumer *)
+          preserve bit-identity of each consumer: over the generated
+          programs of seeds 1–40, indices 0–99, reading [va] instead
+          gave other L2 access targets for 33 of 4,000 and another
+          bypass set for 6 (none of the 19 catalog programs moved).
+          Seed 5, index 64 loses line 65,538 from its bypass set; a
+          test pins that program. *)
   loop_bounds : Dataflow.Loop_bounds.bound list;
   entry : Cache.Analysis.entry_state;
   l1i : Cache.Analysis.t option;  (** [None] on method-cache platforms *)

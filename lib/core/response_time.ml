@@ -38,7 +38,11 @@ type lifetime_result = {
   overlaps : bool array array;
 }
 
-let lifetime_refinement ?memo system ~offsets ?(max_iterations = 10) () =
+(* The refinement stops after this many iterations even if the overlap
+   sets still change. *)
+let max_iterations = 10
+
+let lifetime_refinement ?memo system ~offsets =
   let n = Array.length system.Multicore.tasks in
   if Array.length offsets <> n then
     invalid_arg "Response_time.lifetime_refinement: offsets mismatch";

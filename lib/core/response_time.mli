@@ -30,10 +30,10 @@ type lifetime_result = {
 }
 
 val lifetime_refinement :
-  ?memo:Memo.t -> Multicore.system -> offsets:int array ->
-  ?max_iterations:int -> unit -> lifetime_result
-(** Joint-analysis WCETs refined by release windows.  [memo] is passed to
-    the per-iteration {!Multicore.analyze_joint} calls — the fixpoint
-    re-analyzes tasks whose overlap sets stabilized, which the cache then
-    serves for free.
+  ?memo:Memo.t -> Multicore.system -> offsets:int array -> lifetime_result
+(** Joint-analysis WCETs refined by release windows, over at most 10
+    iterations.  [memo] is passed to the per-iteration
+    {!Multicore.analyze_joint} calls — the fixpoint re-analyzes tasks
+    whose overlap sets stabilized, which the cache then serves for
+    free.
     @raise Invalid_argument if offsets and tasks disagree in length. *)

@@ -157,27 +157,6 @@ let analyze_with ?bypass_key ?refine ~ctx platform =
     (match l2_view.multilevel with
     | Some m -> multilevels := (name, m) :: !multilevels
     | None -> ());
-    let fetch_class i =
-      match l1i with
-      | Some l1i ->
-          {
-            Pipeline.Cost.l1 = Cache.Analysis.classification l1i i;
-            l2 = l2_view.l2_class Cache.Analysis.Fetch i;
-          }
-      | None ->
-          (* Method cache: every fetch is a one-cycle local access. *)
-          {
-            Pipeline.Cost.l1 = Cache.Analysis.Always_hit;
-            l2 = Cache.Analysis.Always_hit;
-          }
-    in
-    let data_class i =
-      match
-        Cache.Analysis.classification l1d ~kind:Cache.Analysis.Data i
-      with
-      | c -> Some { Pipeline.Cost.l1 = c; l2 = l2_view.l2_class Cache.Analysis.Data i }
-      | exception Not_found -> None
-    in
     let is_io i =
       match Isa.Program.instr program i with
       | Isa.Instr.Load (Isa.Instr.Io, _, _, _)
@@ -185,49 +164,45 @@ let analyze_with ?bypass_key ?refine ~ctx platform =
           true
       | _ -> false
     in
-    let oracle =
+    (* The block-cost oracle over one L2 classification. *)
+    let oracle_of l2_class =
+      let fetch_class i =
+        match l1i with
+        | Some l1i ->
+            {
+              Pipeline.Cost.l1 = Cache.Analysis.classification l1i i;
+              l2 = l2_class Cache.Analysis.Fetch i;
+            }
+        | None ->
+            (* Method cache: every fetch is a one-cycle local access. *)
+            {
+              Pipeline.Cost.l1 = Cache.Analysis.Always_hit;
+              l2 = Cache.Analysis.Always_hit;
+            }
+      in
+      let data_class i =
+        match
+          Cache.Analysis.classification l1d ~kind:Cache.Analysis.Data i
+        with
+        | c ->
+            Some
+              { Pipeline.Cost.l1 = c; l2 = l2_class Cache.Analysis.Data i }
+        | exception Not_found -> None
+      in
       { Pipeline.Cost.fetch_class; data_class; is_io; bus_wait; mem_wait }
     in
+    let oracle = oracle_of l2_view.l2_class in
     (* Pre-interference twin of [oracle]: only the L2 classifications
        differ, and only in shared-L2 mode.  The per-block attribution is
        decomposed against this baseline, with the (non-negative, since
        [Cache.Shared.interfere] only demotes) cost delta charged to the
-       bus/interference category. *)
+       bus/interference category.  Outside that mode it is [oracle]
+       itself, which the block-cost loop tests with [==]. *)
     let oracle_base =
       match platform.Platform.l2 with
       | Platform.No_l2 | Platform.Private_l2 _ | Platform.Locked_l2 _ ->
           oracle
-      | Platform.Shared_l2 _ ->
-          let fetch_class_base i =
-            match l1i with
-            | Some l1i ->
-                {
-                  Pipeline.Cost.l1 = Cache.Analysis.classification l1i i;
-                  l2 = l2_view.l2_class_base Cache.Analysis.Fetch i;
-                }
-            | None ->
-                {
-                  Pipeline.Cost.l1 = Cache.Analysis.Always_hit;
-                  l2 = Cache.Analysis.Always_hit;
-                }
-          in
-          let data_class_base i =
-            match
-              Cache.Analysis.classification l1d ~kind:Cache.Analysis.Data i
-            with
-            | c ->
-                Some
-                  {
-                    Pipeline.Cost.l1 = c;
-                    l2 = l2_view.l2_class_base Cache.Analysis.Data i;
-                  }
-            | exception Not_found -> None
-          in
-          {
-            oracle with
-            Pipeline.Cost.fetch_class = fetch_class_base;
-            data_class = data_class_base;
-          }
+      | Platform.Shared_l2 _ -> oracle_of l2_view.l2_class_base
     in
     let own_vecs, full_vecs, block_costs =
       Obs.span ~cat:"phase" "block-costs" @@ fun () ->
@@ -427,8 +402,5 @@ let footprint t =
         (Cache.Shared.combine
            (List.map (fun (_, m) -> Cache.Multilevel.footprint m) t.multilevels)
            config)
-
-let uses_unknown_l2_target t =
-  List.exists (fun (_, m) -> Cache.Multilevel.uses_unknown_target m) t.multilevels
 
 let proc_wcet t name = (List.assoc name t.procs).wcet

@@ -109,7 +109,5 @@ val analyze :
 val footprint : t -> Cache.Shared.conflicts option
 (** Combined L2 footprint of the whole task (None without L2). *)
 
-val uses_unknown_l2_target : t -> bool
-
 val proc_wcet : t -> string -> int
 (** @raise Not_found for unknown procedures. *)

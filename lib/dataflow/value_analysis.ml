@@ -147,8 +147,10 @@ let refine_along g (e : Cfg.Graph.edge) st =
     | Isa.Instr.Ret | Isa.Instr.Nop | Isa.Instr.Halt ->
         st
 
-let analyze ?(widen_after = 3)
-    ?(call_clobbers = fun _ -> Clobbers.all_registers) g =
+(* Blocks visited more often than this widen their input. *)
+let widen_after = 3
+
+let analyze ?(call_clobbers = fun _ -> Clobbers.all_registers) g =
   let n = Cfg.Graph.num_blocks g in
   let ins = Array.make n bottom in
   let outs = Array.make n bottom in

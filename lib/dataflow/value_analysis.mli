@@ -18,14 +18,11 @@ type astate = Interval.t array
 type result
 
 val analyze :
-  ?widen_after:int ->
-  ?call_clobbers:(string -> Isa.Instr.reg list) ->
-  Cfg.Graph.t ->
-  result
-(** Fixpoint with widening at blocks visited more than [widen_after]
-    times (default 3), followed by one narrowing sweep.  [call_clobbers]
-    names the registers a callee may write (from {!Clobbers}); the sound
-    default forgets every register at each call. *)
+  ?call_clobbers:(string -> Isa.Instr.reg list) -> Cfg.Graph.t -> result
+(** Fixpoint with widening at blocks visited more than 3 times, followed
+    by one narrowing sweep.  [call_clobbers] names the registers a callee
+    may write (from {!Clobbers}); the sound default forgets every
+    register at each call. *)
 
 val block_in : result -> Cfg.Block.id -> astate
 val block_out : result -> Cfg.Block.id -> astate

@@ -20,12 +20,6 @@ let ints b l =
   Buffer.add_char b ':';
   List.iter (int b) l
 
-let int_array b a =
-  Buffer.add_char b 'a';
-  Buffer.add_string b (string_of_int (Array.length a));
-  Buffer.add_char b ':';
-  Array.iter (int b) a
-
 let bool b v = Buffer.add_char b (if v then 't' else 'f')
 
 let digest b = Digest.to_hex (Digest.string (Buffer.contents b))

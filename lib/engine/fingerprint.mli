@@ -14,7 +14,6 @@ val create : unit -> t
 val string : t -> string -> unit
 val int : t -> int -> unit
 val ints : t -> int list -> unit
-val int_array : t -> int array -> unit
 val bool : t -> bool -> unit
 
 val digest : t -> string

@@ -152,7 +152,7 @@ let parse_instr line mnemonic ops =
                     | None -> fail line "unknown mnemonic %S" mnemonic
                   else fail line "unknown mnemonic %S" mnemonic)))
 
-let parse ~name ?entry ?base source =
+let parse ~name ?entry source =
   let lines = String.split_on_char '\n' source in
   let code = ref [] and labels = ref [] and index = ref 0 in
   List.iteri
@@ -192,4 +192,4 @@ let parse ~name ?entry ?base source =
       (Array.append code [| Instr.Halt |], !labels)
     else (code, !labels)
   in
-  Program.make ~name ~code ~labels ?entry ?base ()
+  Program.make ~name ~code ~labels ?entry ()

@@ -27,6 +27,6 @@
 exception Parse_error of int * string
 (** Line number (1-based) and message. *)
 
-val parse : name:string -> ?entry:string -> ?base:int -> string -> Program.t
+val parse : name:string -> ?entry:string -> string -> Program.t
 (** @raise Parse_error on malformed input.
     @raise Invalid_argument on undefined labels (from {!Program.make}). *)

@@ -31,10 +31,6 @@ let is_control = function
   | Branch _ | Jump _ | Call _ | Ret | Halt -> true
   | Alu _ | Alui _ | Load _ | Store _ | Nop -> false
 
-let is_memory_access = function
-  | Load _ | Store _ -> true
-  | Alu _ | Alui _ | Branch _ | Jump _ | Call _ | Ret | Nop | Halt -> false
-
 let alu_op_to_string = function
   | Add -> "add"
   | Sub -> "sub"

@@ -53,8 +53,6 @@ type t =
 val is_control : t -> bool
 (** Branches, jumps, calls, returns and halts end a basic block. *)
 
-val is_memory_access : t -> bool
-
 val alu_op_to_string : alu_op -> string
 val cond_to_string : cond -> string
 val space_to_string : space -> string

@@ -1,4 +1,3 @@
-let code_base = 0x0000_0000
 let data_base = 0x0010_0000
 let stack_base = 0x0020_0000
 let io_base = 0x0030_0000

@@ -9,7 +9,6 @@
     - stack: [0x0020_0000 ...]
     - io:    [0x0030_0000 ...] (never cached) *)
 
-val code_base : int
 val data_base : int
 val stack_base : int
 val io_base : int

@@ -19,10 +19,13 @@ let find_fractional solution =
   in
   go 0
 
+(* The branch-and-bound tree size past which a solve fails. *)
+let max_nodes = 100_000
+
 (* Core branch-and-bound from a solved root relaxation: a replay of a
    prepared constraint snapshot ([Simplex.solve_prepared]), possibly
    extended with cut rows ([Simplex.add_le]). *)
-let solve_result_from ?(max_nodes = 100_000) model root =
+let solve_result_from model root =
   let n = Model.num_vars model in
   let incumbent = ref None in
   let nodes = ref 0 in
@@ -114,14 +117,14 @@ let instrumented model f =
     r
   end
 
-let solve_result_prepared ?max_nodes prepared model =
+let solve_result_prepared prepared model =
   instrumented model (fun () ->
-      solve_result_from ?max_nodes model (Simplex.solve_prepared prepared model))
+      solve_result_from model (Simplex.solve_prepared prepared model))
 
-let solve_result ?max_nodes model =
-  solve_result_prepared ?max_nodes (Simplex.prepare model ~extra:[]) model
+let solve_result model =
+  solve_result_prepared (Simplex.prepare model ~extra:[]) model
 
-let solve_result_state ?max_nodes model root =
-  instrumented model (fun () -> solve_result_from ?max_nodes model root)
+let solve_result_state model root =
+  instrumented model (fun () -> solve_result_from model root)
 
-let solve ?max_nodes model = (solve_result ?max_nodes model).outcome
+let solve model = (solve_result model).outcome

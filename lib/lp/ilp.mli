@@ -29,30 +29,25 @@ type outcome =
 
 type result = { outcome : outcome; nodes : int  (** search-tree nodes explored *) }
 
-val solve_result_prepared :
-  ?max_nodes:int -> Simplex.prepared -> Model.t -> result
+val solve_result_prepared : Simplex.prepared -> Model.t -> result
 (** Branch and bound whose root relaxation replays a {!Simplex.prepared}
     constraint snapshot, so re-solves under new objectives skip the
     objective-independent tableau work.  [model] must be the model the
     snapshot was prepared from, with its objective re-set per solve.
-    [max_nodes] bounds the branch-and-bound tree size (default
-    [100_000]).
+    The branch-and-bound tree is bounded to 100,000 nodes.
     @raise Failure if the node budget is exhausted, since a truncated search
     could silently under-approximate a WCET bound. *)
 
-val solve_result : ?max_nodes:int -> Model.t -> result
+val solve_result : Model.t -> result
 (** [solve_result m] is
     [solve_result_prepared (Simplex.prepare m ~extra:[]) m]: the same
     tree, optimum and node count as any replay of [m]. *)
 
-val solve : ?max_nodes:int -> Model.t -> outcome
+val solve : Model.t -> outcome
 (** [solve m] is [(solve_result m).outcome]. *)
 
 val solve_result_state :
-  ?max_nodes:int ->
-  Model.t ->
-  Simplex.outcome * Simplex.state option ->
-  result
+  Model.t -> Simplex.outcome * Simplex.state option -> result
 (** Branch and bound from an explicitly solved root relaxation — e.g. a
     {!Simplex.solve_prepared} replay extended with {!Simplex.add_le}
     conflict cuts.  The root must be optimal for [model]'s current

@@ -8,11 +8,6 @@ type kind =
 
 type t = { ts : int64; kind : kind }
 
-let cat_of e =
-  match e.kind with
-  | Begin { cat; _ } | Instant { cat; _ } | Counter { cat; _ } -> Some cat
-  | End -> None
-
 let value_to_string = function
   | Int i -> string_of_int i
   | Float f -> Printf.sprintf "%g" f

@@ -18,8 +18,4 @@ type kind =
 
 type t = { ts : int64; kind : kind }
 
-val cat_of : t -> string option
-(** The category of a [Begin]/[Instant]; [None] for [End] (an [End]
-    belongs to whatever span it closes). *)
-
 val value_to_string : value -> string

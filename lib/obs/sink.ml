@@ -67,9 +67,6 @@ let counter t tr ?(cat = "") ?(args = []) name =
   Ring.push tr.ring
     { Event.ts = t.clock (); kind = Event.Counter { name; cat; args } }
 
-let counter_at tr ~ts ?(cat = "") ?(args = []) name =
-  Ring.push tr.ring { Event.ts; kind = Event.Counter { name; cat; args } }
-
 (* Export-time repair: a ring that wrapped may have lost Begins whose
    Ends survived (drop those Ends), and a recording interrupted mid-span
    leaves unclosed Begins (synthesize Ends at the last timestamp).  The

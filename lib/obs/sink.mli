@@ -39,8 +39,6 @@ val instant : t -> track -> ?cat:string -> ?args:(string * Event.value) list -> 
 val counter : t -> track -> ?cat:string -> ?args:(string * Event.value) list -> string -> unit
 (** Record a {!Event.Counter} sample; each arg is one series value. *)
 
-val counter_at : track -> ts:int64 -> ?cat:string -> ?args:(string * Event.value) list -> string -> unit
-
 val events : track -> Event.t list
 (** The track's surviving events, oldest first, with ring-wrap damage
     repaired: orphan [End]s dropped, unclosed [Begin]s closed at the last

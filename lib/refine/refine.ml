@@ -2,12 +2,6 @@ type config = { max_iterations : int; max_cuts : int }
 
 let default = { max_iterations = 8; max_cuts = 16 }
 
-let make ?(max_iterations = default.max_iterations)
-    ?(max_cuts = default.max_cuts) () =
-  if max_iterations < 0 || max_cuts < 0 then
-    invalid_arg "Refine.make: budgets must be non-negative";
-  { max_iterations; max_cuts }
-
 let salt c = Printf.sprintf "refine:i%dc%d" c.max_iterations c.max_cuts
 
 type cut = {

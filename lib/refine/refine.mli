@@ -40,9 +40,6 @@ val default : config
 (** 8 iterations, 16 cuts — enough to drain the candidate list on every
     catalog program. *)
 
-val make : ?max_iterations:int -> ?max_cuts:int -> unit -> config
-(** @raise Invalid_argument when a budget is negative. *)
-
 val salt : config -> string
 (** Canonical descriptor of the closure semantics a refined result
     depends on, e.g. ["refine:i8c16"].  Appended to {!Core.Memo} salts

@@ -574,10 +574,10 @@ let test_lifetime_refinement () =
   let sys = mk_system 2 in
   (* Far-apart offsets: windows cannot overlap, conflicts vanish. *)
   let apart =
-    Core.Response_time.lifetime_refinement sys ~offsets:[| 0; 1_000_000 |] ()
+    Core.Response_time.lifetime_refinement sys ~offsets:[| 0; 1_000_000 |]
   in
   let together =
-    Core.Response_time.lifetime_refinement sys ~offsets:[| 0; 0 |] ()
+    Core.Response_time.lifetime_refinement sys ~offsets:[| 0; 0 |]
   in
   let w arr i = match arr.(i) with Some w -> w | None -> Alcotest.fail "w" in
   Alcotest.(check bool) "disjoint windows give lower or equal WCET" true
@@ -601,7 +601,7 @@ let test_lifetime_refinement_front_ends () =
   let r, builds =
     Front_ends.count (fun () ->
         Core.Response_time.lifetime_refinement sys
-          ~offsets:[| 0; 0; 1_000_000 |] ())
+          ~offsets:[| 0; 0; 1_000_000 |])
   in
   Alcotest.(check int) "iterations" 2 r.Core.Response_time.iterations;
   Alcotest.(check int) "ctx.build spans" 3 builds
@@ -817,6 +817,46 @@ let test_bypass_lines_of_straightline () =
   in
   Alcotest.(check bool) "loop code line not bypassed" false
     (List.mem loop_code_line loop_lines)
+
+(* The bypass heuristic reads the plain value analysis (every register
+   forgotten at calls), not the interprocedurally refined one the WCET
+   uses.  On this generated program the two give different L2 access
+   targets, and the refined one drops line 65,538 from the bypass set. *)
+let test_bypass_lines_read_plain_analysis () =
+  let gen = Fuzz.Generator.generate ~seed:5 ~index:64 () in
+  let task = (gen.Fuzz.Generator.program, gen.Fuzz.Generator.annot) in
+  let sys =
+    Core.Multicore.default_system ~cores:2 ~tasks:[| Some task; Some task |]
+  in
+  let ctx =
+    Core.Context.build ~annot:gen.Fuzz.Generator.annot
+      ~l1i:sys.Core.Multicore.l1i ~l1d:sys.Core.Multicore.l1d
+      gen.Fuzz.Generator.program
+  in
+  (* The single-usage lines over each procedure's accesses under [va]. *)
+  let lines_under va_of =
+    List.concat_map
+      (fun (_, (p : Core.Context.proc)) ->
+        let g = p.Core.Context.graph and va = va_of p in
+        Cache.Multilevel.single_usage_lines g p.Core.Context.loops
+          ~l2_accesses:(fun id ->
+            Cache.Analysis.instruction_accesses sys.Core.Multicore.l2 g id
+            @ Cache.Analysis.data_accesses sys.Core.Multicore.l2 g va id))
+      ctx.Core.Context.procs
+    |> List.sort_uniq compare
+  in
+  let plain =
+    lines_under (fun p ->
+        Dataflow.Value_analysis.analyze p.Core.Context.graph)
+  in
+  let refined = lines_under (fun p -> p.Core.Context.va) in
+  Alcotest.(check bool) "plain set holds line 65538" true
+    (List.mem 65538 plain);
+  Alcotest.(check bool) "refined set lacks it" false (List.mem 65538 refined);
+  Alcotest.(check (list int)) "bypass lines = plain reference" plain
+    (Core.Multicore.bypass_lines sys task);
+  Alcotest.(check (list int)) "same over a shared context" plain
+    (Core.Multicore.bypass_lines ~ctx sys task)
 
 (* ------------------------------------------------------------------ *)
 (* Mode-invariant contexts                                            *)
@@ -1442,6 +1482,8 @@ let () =
           Alcotest.test_case "dynamic locking" `Quick test_dynamic_locking_runs;
           Alcotest.test_case "bypass line discovery" `Quick
             test_bypass_lines_of_straightline;
+          Alcotest.test_case "bypass reads the plain value analysis" `Quick
+            test_bypass_lines_read_plain_analysis;
         ] );
       ( "mode",
         [
