@@ -1,9 +1,10 @@
 (* Prints every per-access cache result and per-procedure bound of the
    catalog, one fact per line, so two builds can be compared with diff:
    the L1i/L1d classification of every access, every L2 access_info
-   (CAC, class, must and persistence ages), and each procedure's WCET,
-   persistence penalty and block costs, for the 19 catalog programs
-   solo and in the seven contended modes at two cores.
+   (CAC, class, must ages, and persistence ages, which only a PS access
+   keeps), and each procedure's WCET, persistence penalty and block
+   costs, for the 19 catalog programs solo and in the seven contended
+   modes at two cores.
 
      dune exec bench/analysis_dump.exe > dump.txt *)
 

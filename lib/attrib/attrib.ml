@@ -32,8 +32,7 @@ let sum_vecs vecs = List.fold_left Vec.add Vec.zero vecs
    is bottom-up (root last); reversing it visits callers before their
    callees, so by the time a procedure is charged its multiplicity is
    final. *)
-let flatten ~program ~procs ~counts_of ~attrib_of ~overhead_of =
-  let cg = Cfg.Callgraph.build program in
+let flatten ~callgraph:cg ~procs ~counts_of ~attrib_of ~overhead_of =
   let mult = Hashtbl.create 16 in
   Hashtbl.replace mult cg.Cfg.Callgraph.root 1;
   let rows = ref [] and overheads = ref [] in
@@ -67,7 +66,7 @@ let flatten ~program ~procs ~counts_of ~attrib_of ~overhead_of =
 
 let of_wcet (w : Core.Wcet.t) =
   let rows, overheads, total =
-    flatten ~program:w.Core.Wcet.program ~procs:w.Core.Wcet.procs
+    flatten ~callgraph:w.Core.Wcet.callgraph ~procs:w.Core.Wcet.procs
       ~counts_of:(fun (pr : Core.Wcet.proc_result) ->
         pr.Core.Wcet.ipet.Core.Ipet.block_counts)
       ~attrib_of:(fun pr -> pr.Core.Wcet.attrib)
@@ -78,7 +77,7 @@ let of_wcet (w : Core.Wcet.t) =
 
 let of_bcet (b : Core.Bcet.t) =
   let rows, overheads, total =
-    flatten ~program:b.Core.Bcet.program ~procs:b.Core.Bcet.procs
+    flatten ~callgraph:b.Core.Bcet.callgraph ~procs:b.Core.Bcet.procs
       ~counts_of:(fun (pr : Core.Bcet.proc_result) ->
         pr.Core.Bcet.ipet.Core.Ipet.block_counts)
       ~attrib_of:(fun pr -> pr.Core.Bcet.attrib)

@@ -142,20 +142,33 @@ let kind_name = function
   | Acs.May -> "may"
   | Acs.Pers -> "pers"
 
-(* The state before each access of a block, replayed once from the
-   block's fixpoint input.  The persistence transfers read the must state
-   from here, so a fixpoint iteration does not re-step it. *)
-let states_before step input accesses =
-  snd (List.fold_left_map (fun st a -> (step st a, st)) input accesses)
-
 let level config g ~name ~entry ~accesses ~step ~pers_step ~visit =
   let n = Cfg.Graph.num_blocks g in
   let accesses = Array.init n accesses in
   let had_call =
     Array.init n (fun id -> Cfg.Graph.callee_of_block g id <> None)
   in
-  let fixpoint kind transfer =
+  (* One fixpoint whose block transfer folds [step_at id k] over the
+     block's accesses, writing the state before access [k] into
+     [before.(id).(k)].  A block's last transfer sees its final input
+     ({!Dataflow.Worklist.solve}), so its last record is the fixpoint's
+     before-state; a block no transfer reached is stepped once from the
+     entry state, which is sound for code that never runs. *)
+  let fixpoint kind step_at =
     let entry_state = entry_acs config entry kind in
+    let before =
+      Array.map (fun l -> Array.make (List.length l) entry_state) accesses
+    in
+    let transfer id input =
+      let b = before.(id) in
+      let rec go k st = function
+        | [] -> st
+        | a :: rest ->
+            b.(k) <- st;
+            go (k + 1) (step_at id k st a) rest
+      in
+      go 0 input accesses.(id)
+    in
     let ins, _ =
       Dataflow.Worklist.solve g
         ~name:(Printf.sprintf "cache.%s.%s" name (kind_name kind))
@@ -165,32 +178,30 @@ let level config g ~name ~entry ~accesses ~step ~pers_step ~visit =
           if had_call.(id) then Acs.havoc out else out)
         ~on_round:count_fixpoint_iteration ()
     in
-    (* An unreachable block keeps the entry state: any state is sound. *)
-    Array.map (function Some x -> x | None -> entry_state) ins
+    Array.iteri
+      (fun id -> function
+        | None -> ignore (transfer id entry_state : Acs.t)
+        | Some _ -> ())
+      ins;
+    before
   in
-  let stepped id acs = List.fold_left step acs accesses.(id) in
-  let must_ins = fixpoint Acs.Must stepped in
-  let must_before = Array.map2 (states_before step) must_ins accesses in
-  let may_ins = fixpoint Acs.May stepped in
-  let guided pers must a = pers_step ~must pers a in
-  let pers_ins =
-    fixpoint Acs.Pers (fun id pers ->
-        List.fold_left2 guided pers must_before.(id) accesses.(id))
+  let must = fixpoint Acs.Must (fun _ _ st a -> step st a) in
+  let may = fixpoint Acs.May (fun _ _ st a -> step st a) in
+  (* Persistence is guided by the must state before the same access, and
+     runs only when a classification asks for it. *)
+  let pers =
+    lazy
+      (fixpoint Acs.Pers (fun id k st a -> pers_step ~must:must.(id).(k) st a))
   in
-  (* Replay the may and persistence states through each block, handing
-     every access the three states before it. *)
-  let replay (may, pers) must a =
-    visit ~must ~may ~pers a;
-    (step may a, guided pers must a)
-  in
-  for id = 0 to n - 1 do
-    let (_ : Acs.t * Acs.t) =
-      List.fold_left2 replay
-        (may_ins.(id), pers_ins.(id))
-        must_before.(id) accesses.(id)
-    in
-    ()
-  done
+  Array.iteri
+    (fun id l ->
+      List.iteri
+        (fun k a ->
+          visit ~must:must.(id).(k) ~may:may.(id).(k)
+            ~pers:(lazy (Lazy.force pers).(id).(k))
+            a)
+        l)
+    accesses
 
 let classify config ~must ~may ~pers target =
   let assoc = config.Config.assoc in
@@ -212,7 +223,7 @@ let classify config ~must ~may ~pers target =
           let persistent =
             match ls with
             | [ l ] -> (
-                match Acs.age_of_line pers l with
+                match Acs.age_of_line (Lazy.force pers) l with
                 | Some age -> age < assoc
                 | None -> false)
             | _ -> false
@@ -231,8 +242,3 @@ let classification t ?(kind = Fetch) instr =
   snd (Table.find t.points kind instr)
 
 let accesses t = t.sorted
-
-let persistent_miss_count t =
-  List.fold_left
-    (fun acc (_, c) -> if c = Persistent then acc + 1 else acc)
-    0 t.sorted

@@ -2,8 +2,9 @@
     CFG plus per-access classification (Section 2.1 of the paper: accesses
     get a category ALWAYS_HIT / ALWAYS_MISS / PERSISTENT / NOT_CLASSIFIED).
 
-    One engine, {!level}, runs the three fixpoints of a cache level and
-    replays each block once to hand every access the states before it.
+    One engine, {!level}, runs the fixpoints of a cache level and hands
+    every access the states before it, as its fixpoints' block transfers
+    recorded them.
     {!analyze} is its L1 instance, for the instruction cache (every
     instruction fetch is an access at a statically known address) and
     the data cache (load/store addresses come from the interval value
@@ -78,7 +79,7 @@ val level :
   accesses:(Cfg.Block.id -> 'a list) ->
   step:(Acs.t -> 'a -> Acs.t) ->
   pers_step:(must:Acs.t -> Acs.t -> 'a -> Acs.t) ->
-  visit:(must:Acs.t -> may:Acs.t -> pers:Acs.t -> 'a -> unit) ->
+  visit:(must:Acs.t -> may:Acs.t -> pers:Acs.t Lazy.t -> 'a -> unit) ->
   unit
 (** The analysis of one cache level.  [accesses] lists each block's
     accesses in program order.  The must and may fixpoints apply [step]
@@ -88,10 +89,16 @@ val level :
     for [Unknown_entry] a may state in which any line may be cached.
     The fixpoints run through {!Dataflow.Worklist.solve} under the span
     names ["cache.<name>.must"], ["cache.<name>.may"] and
-    ["cache.<name>.pers"], counted by {!fixpoint_iterations}.  Then each
-    block is replayed once, and [visit] sees every access in program
-    order with the three states before it.  An unreachable block starts
-    from the entry states. *)
+    ["cache.<name>.pers"], counted by {!fixpoint_iterations}.
+
+    Each block transfer records the state before every access, and a
+    block's last transfer sees its final input, so the last record is
+    the fixpoint's before-state; no block is replayed.  A block no
+    transfer reaches is stepped once from the entry states.  Then
+    [visit] sees every access, block by block in program order, with
+    the must and may states before it and the persistence state as a
+    lazy value: the persistence fixpoint runs the first time [visit]
+    forces one, and never when no [visit] does. *)
 
 val analyze :
   Config.t ->
@@ -111,22 +118,21 @@ val accesses : t -> (access * classification) list
 (** All accesses, by instruction order (fetch before data); built once
     by {!analyze}. *)
 
-val persistent_miss_count : t -> int
-(** Number of accesses classified [Persistent]; each contributes at most
-    one miss per procedure execution (charged by the WCET composition). *)
-
 val classify :
   Config.t ->
   must:Acs.t ->
   may:Acs.t ->
-  pers:Acs.t ->
+  pers:Acs.t Lazy.t ->
   target ->
   classification
 (** The category of an access to [target] from the must, may and
     persistence states before it: [Always_hit] when every candidate line
     is in [must], [Always_miss] when none may be in [may], [Persistent]
-    for a single line younger than [assoc] in [pers].  Exposed so that
-    {!Multilevel} classifies L2 accesses by the same rules. *)
+    for a single line younger than [assoc] in [pers].  [pers] is forced
+    only for a single-line access that must and may leave undecided, so
+    a level whose every access they decide never runs its persistence
+    fixpoint.  Exposed so that {!Multilevel} classifies L2 accesses by
+    the same rules. *)
 
 val fixpoint_iterations : unit -> int
 (** Monotone count of abstract-interpretation sweeps (one per pass over

@@ -93,7 +93,10 @@ let analyze config g ~entry ~cac_of ~l2_accesses ?(bypass = fun _ -> false)
           cac;
           l2_class;
           must_ages = ages_of must a.target;
-          pers_ages = ages_of pers a.target;
+          pers_ages =
+            (if l2_class = Analysis.Persistent then
+               ages_of (Lazy.force pers) a.target
+             else []);
         });
   let infos = Analysis.Table.to_list by_instr in
   let unknown_target =
@@ -113,10 +116,6 @@ let classification t ?(kind = Analysis.Fetch) instr =
 let cac t ?(kind = Analysis.Fetch) instr = (find t kind instr).cac
 
 let access_infos t = t.infos
-
-let persistent_miss_count t =
-  List.length
-    (List.filter (fun i -> i.l2_class = Analysis.Persistent) t.infos)
 
 let footprint t =
   let counts = Array.make t.config.Config.sets 0 in

@@ -3,7 +3,7 @@
     Puaut's approach referenced in Section 4.1 of the paper.  The L2
     analysis is the L1 engine, {!Analysis.level}, run over the accesses
     that may miss L1 with CAC- and bypass-aware steps; each access keeps
-    its L2 must and persistence ages.
+    its L2 must ages, and a [Persistent] one its persistence ages.
 
     An access reaches L2 only when it misses L1:
     - L1 [Always_hit] -> [Never] accesses L2;
@@ -27,6 +27,9 @@ type access_info = {
   must_ages : (int * int option) list;
       (** per candidate line: its L2 must-age at the access, if tracked *)
   pers_ages : (int * int option) list;
+      (** [] unless the access is [Persistent]; then per candidate line
+          its L2 persistence age at the access, which
+          {!Shared.interfere} ages by the co-runners' conflicts *)
 }
 
 type t
@@ -65,8 +68,6 @@ val cac : t -> ?kind:Analysis.kind -> int -> cac
 
 val access_infos : t -> access_info list
 (** All accesses in instruction order. *)
-
-val persistent_miss_count : t -> int
 
 val footprint : t -> int array
 (** Per L2 set: number of distinct lines this task may bring into the set

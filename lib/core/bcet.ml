@@ -10,6 +10,7 @@ type proc_result = {
 
 type t = {
   program : Isa.Program.t;
+  callgraph : Cfg.Callgraph.t;
   procs : (string * proc_result) list;
   bcet : int;
 }
@@ -116,7 +117,7 @@ let analyze_with ~ctx (platform : Platform.t) =
       ctx.Context.procs
   in
   let root = List.assoc ctx.Context.root procs in
-  { program; procs; bcet = root.bcet }
+  { program; callgraph = Context.callgraph ctx; procs; bcet = root.bcet }
 
 let analyze ?(annot = Dataflow.Annot.empty) (platform : Platform.t) program =
   let ctx = Context.of_platform ~annot platform program in

@@ -25,6 +25,7 @@ type proc_result = {
 
 type t = {
   program : Isa.Program.t;
+  callgraph : Cfg.Callgraph.t;  (** the context's ({!Context.callgraph}) *)
   procs : (string * proc_result) list;
   bcet : int;
 }

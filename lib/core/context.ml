@@ -87,7 +87,7 @@ type proc = {
           {!Multicore} helpers — bypass selection, lock-profit scans —
           consume it; the two give different interval (hence access
           target) sets, so both flavors are kept to preserve
-          bit-identity of each consumer *)
+          bit-identity of each consumer ([va] itself without calls) *)
   loop_bounds : Dataflow.Loop_bounds.bound list;
   entry : Cache.Analysis.entry_state;
   l1i : Cache.Analysis.t option;  (** [None] on method-cache platforms *)
@@ -114,6 +114,8 @@ type t = {
   multilevel_memo :
     (string * (int * int * int) * string, Cache.Multilevel.t) Hashtbl.t;
 }
+
+let callgraph t = t.facts.callgraph
 
 let proc t name =
   match List.assoc_opt name t.procs with
@@ -233,7 +235,10 @@ let build_facts ~annot program =
         f_dom = dom;
         f_loops = loops;
         f_va = va;
-        f_va_plain = lazy (Dataflow.Value_analysis.analyze g);
+        (* The two flavors differ only at a [Call]. *)
+        f_va_plain =
+          (if g.Cfg.Graph.calls = [] then Lazy.from_val va
+           else lazy (Dataflow.Value_analysis.analyze g));
         f_loop_bounds = loop_bounds;
         f_entry =
           (if name = root then Cache.Analysis.Cold

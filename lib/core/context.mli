@@ -61,7 +61,9 @@ type proc = {
           gave other L2 access targets for 33 of 4,000 and another
           bypass set for 6 (none of the 19 catalog programs moved).
           Seed 5, index 64 loses line 65,538 from its bypass set; a
-          test pins that program. *)
+          test pins that program.  The two differ only at a [Call], so
+          for a procedure whose graph has no call [va_plain] is [va]
+          itself. *)
   loop_bounds : Dataflow.Loop_bounds.bound list;
   entry : Cache.Analysis.entry_state;
   l1i : Cache.Analysis.t option;  (** [None] on method-cache platforms *)
@@ -125,6 +127,10 @@ val build :
 val of_platform : ?annot:Dataflow.Annot.t -> Platform.t -> Isa.Program.t -> t
 (** {!build} over the geometry fields of a platform (everything else in
     the platform is mode-specific and ignored). *)
+
+val callgraph : t -> Cfg.Callgraph.t
+(** The call graph the facts were built from: every procedure's CFG,
+    physically the [graph] of its {!proc}. *)
 
 val proc : t -> string -> proc
 (** @raise Invalid_argument on an unknown procedure name. *)

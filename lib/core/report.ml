@@ -21,9 +21,7 @@ let classification_histogram (w : Wcet.t) =
       Cache.Analysis.Not_classified;
     ]
 
-let graph_of (w : Wcet.t) name =
-  let cg = Cfg.Callgraph.build w.Wcet.program in
-  Cfg.Callgraph.graph cg name
+let graph_of (w : Wcet.t) name = Cfg.Callgraph.graph w.Wcet.callgraph name
 
 let render_proc (w : Wcet.t) name =
   let pr = List.assoc name w.Wcet.procs in

@@ -15,6 +15,7 @@ type proc_result = {
 
 type t = {
   program : Isa.Program.t;
+  callgraph : Cfg.Callgraph.t;
   platform : Platform.t;
   procs : (string * proc_result) list;
   wcet : int;
@@ -377,6 +378,7 @@ let analyze_with ?bypass_key ?refine ~ctx platform =
   let root_result = List.assoc root procs in
   {
     program;
+    callgraph = Context.callgraph ctx;
     platform;
     procs;
     wcet = root_result.wcet;

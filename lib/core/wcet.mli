@@ -40,6 +40,7 @@ type proc_result = {
 
 type t = {
   program : Isa.Program.t;
+  callgraph : Cfg.Callgraph.t;  (** the context's ({!Context.callgraph}) *)
   platform : Platform.t;
   procs : (string * proc_result) list;  (** bottom-up order *)
   wcet : int;  (** the root procedure's WCET (refined when [?refine]) *)

@@ -69,4 +69,10 @@ val solve :
     is bottom, block input is the join of predecessor outs in edge-list
     order with [entry_fact] joined in front for the entry block, and a
     block whose input is still bottom is left untouched.  Returns the
-    [ins] and [outs] arrays. *)
+    [ins] and [outs] arrays.
+
+    A block is transferred exactly when its stored input changes, and
+    on that new input.  So a block's last [transfer] sees its final
+    input ([ins.(id)]), and a block left at bottom is never transferred:
+    {!Cache.Analysis.level} keeps the states its last transfers saw
+    instead of replaying the blocks. *)

@@ -8,7 +8,7 @@ type t = {
 
 let word_size = 4
 
-let make ~name ~code ~labels ?entry ?(base = 0) () =
+let make ~name ~code ~labels ?entry () =
   let n = Array.length code in
   List.iter
     (fun (l, i) ->
@@ -40,7 +40,7 @@ let make ~name ~code ~labels ?entry ?(base = 0) () =
   if n = 0 then invalid_arg "Program.make: empty program";
   let labels = List.sort (fun (_, a) (_, b) -> compare a b) labels in
   (* a private copy: writes to the caller's array cannot change it *)
-  { name; code = Array.copy code; labels; entry; base }
+  { name; code = Array.copy code; labels; entry; base = 0 }
 
 let length t = Array.length t.code
 

@@ -10,7 +10,9 @@ type t = private {
   code : Instr.t array;
   labels : (string * int) list;  (** sorted by index *)
   entry : int;
-  base : int;  (** base byte address of the code segment *)
+  base : int;
+      (** base byte address of the code segment: 0 for every program
+          {!make} builds; store keys fingerprint it *)
 }
 
 val make :
@@ -18,7 +20,6 @@ val make :
   code:Instr.t array ->
   labels:(string * int) list ->
   ?entry:string ->
-  ?base:int ->
   unit ->
   t
 (** [make] validates that every branch/jump/call target is a known label,

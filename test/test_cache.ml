@@ -823,6 +823,39 @@ let multilevel_for src ~l1_cfg ~l2_cfg =
   in
   (g, l1, m)
 
+(* Persistence decides only an access that must and may leave open, so
+   a level runs its persistence fixpoint only when it has one: never on
+   cold straight-line code, whose every fetch misses, and once per level
+   for a loop whose body misses on entry and hits on the back edge. *)
+let test_persistence_on_demand () =
+  let l1_cfg = Cache.Config.make ~sets:4 ~assoc:2 ~line_size:4 in
+  let l2_cfg = Cache.Config.make ~sets:8 ~assoc:2 ~line_size:4 in
+  let pers_fixpoints src =
+    List.map
+      (fun level ->
+        snd
+          (Front_ends.spans
+             ("cache." ^ level ^ ".pers")
+             (fun () -> ignore (multilevel_for src ~l1_cfg ~l2_cfg))))
+      [ "l1"; "l2" ]
+  in
+  Alcotest.(check (list int))
+    "straight line: no persistence fixpoint" [ 0; 0 ]
+    (pers_fixpoints "main:\n  nop\n  nop\n  halt\n");
+  let loop =
+    "main:\n  li r1, 10\nloop:\n  subi r1, r1, 1\n  nop\n  bne r1, r0, loop\n  halt\n"
+  in
+  Alcotest.(check (list int))
+    "loop: one persistence fixpoint per level" [ 1; 1 ]
+    (pers_fixpoints loop);
+  let _, l1, m = multilevel_for loop ~l1_cfg ~l2_cfg in
+  Alcotest.(check string) "loop head is PS at L1" "PS"
+    (Cache.Analysis.classification_to_string
+       (Cache.Analysis.classification l1 1));
+  Alcotest.(check string) "loop head is PS at L2" "PS"
+    (Cache.Analysis.classification_to_string
+       (Cache.Multilevel.classification m 1))
+
 let test_multilevel_cac () =
   let src =
     {|
@@ -1071,6 +1104,156 @@ let test_method_cache_analysis () =
        { Cache.Method_cache.slots = 1; fill_per_word = 2 }
        ~mem_latency:50 ~size_words:3)
 
+(* ------------------------------------------------------------------ *)
+(* Engine reference                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Differential test of the cache engine, which keeps the before-states
+   its fixpoints' last transfers saw and runs persistence only on
+   demand, against the replay engine it replaced (Cache_reference):
+   every L1 classification, and every L2 access's CAC, class and must
+   ages, and the persistence ages of every [Persistent] L2 access, for
+   every analysis a context and a mode's back end ran.  Production
+   keeps no persistence ages for any other access. *)
+module CR = Cache_reference
+
+(* The reference's L1i (when the context has one) and L1d analyses of a
+   procedure, over the access lists production analyzes. *)
+let reference_l1 (ctx : Core.Context.t) (p : Core.Context.proc) =
+  let g = p.Core.Context.graph and entry = p.Core.Context.entry in
+  let l1i = ctx.Core.Context.l1i_config
+  and l1d = ctx.Core.Context.l1d_config in
+  ( Option.map
+      (fun _ ->
+        CR.analyze l1i g ~entry
+          ~accesses:(Cache.Analysis.instruction_accesses l1i g))
+      p.Core.Context.l1i,
+    CR.analyze l1d g ~entry
+      ~accesses:(Cache.Analysis.data_accesses l1d g p.Core.Context.va) )
+
+(* The first L1 disagreement of a context's procedures, if any. *)
+let l1_mismatch (ctx : Core.Context.t) =
+  List.find_map
+    (fun (name, (p : Core.Context.proc)) ->
+      let l1i, l1d = reference_l1 ctx p in
+      if Option.map Cache.Analysis.accesses p.Core.Context.l1i <> l1i then
+        Some (name ^ " l1i")
+      else if Cache.Analysis.accesses p.Core.Context.l1d <> l1d then
+        Some (name ^ " l1d")
+      else None)
+    ctx.Core.Context.procs
+
+let info_agrees (prod : Cache.Multilevel.access_info)
+    (r : Cache.Multilevel.access_info) =
+  let module M = Cache.Multilevel in
+  prod.M.instr = r.M.instr && prod.M.kind = r.M.kind
+  && prod.M.target = r.M.target && prod.M.cac = r.M.cac
+  && prod.M.l2_class = r.M.l2_class
+  && prod.M.must_ages = r.M.must_ages
+  && prod.M.pers_ages
+     = if prod.M.l2_class = Cache.Analysis.Persistent then r.M.pers_ages
+       else []
+
+(* The first L2 disagreement of a bound's multilevel analyses, each
+   recomputed by the reference from the inputs [Context.multilevel]
+   hands the engine: the L2 view's geometry and bypass set, the access
+   lists, and CACs from the reference's L1 classifications. *)
+let l2_mismatch (ctx : Core.Context.t) (w : Core.Wcet.t) =
+  let bypass =
+    match w.Core.Wcet.platform.Core.Platform.l2 with
+    | Core.Platform.Shared_l2 { bypass; _ } -> bypass
+    | _ -> fun _ -> false
+  in
+  List.find_map
+    (fun (name, m) ->
+      let p = Core.Context.proc ctx name in
+      let l1 =
+        let l1i, l1d = reference_l1 ctx p in
+        Option.value l1i ~default:[] @ l1d
+      in
+      let cac_of (a : Cache.Analysis.access) =
+        match
+          List.find_opt
+            (fun ((b : Cache.Analysis.access), _) ->
+              b.Cache.Analysis.instr = a.Cache.Analysis.instr
+              && b.Cache.Analysis.kind = a.Cache.Analysis.kind)
+            l1
+        with
+        | Some (_, Cache.Analysis.Always_hit) -> Cache.Multilevel.Never
+        | Some (_, (Cache.Analysis.Persistent | Cache.Analysis.Not_classified))
+          ->
+            Cache.Multilevel.Uncertain
+        | Some (_, Cache.Analysis.Always_miss) | None -> Cache.Multilevel.Always
+      in
+      let config = Cache.Multilevel.config m in
+      let reference =
+        CR.multilevel config p.Core.Context.graph ~entry:p.Core.Context.entry
+          ~cac_of
+          ~l2_accesses:(Core.Context.l2_accesses ctx p config)
+          ~bypass
+      in
+      let prod = Cache.Multilevel.access_infos m in
+      if
+        List.length prod = List.length reference
+        && List.for_all2 info_agrees prod reference
+      then None
+      else Some (name ^ " l2"))
+    w.Core.Wcet.multilevels
+
+(* The first disagreement over one task: solo, then on a 2-core system
+   running it on both cores, in the seven contended modes. *)
+let engine_mismatch (program, annot) =
+  let solo = Core.Mode.solo_platform () in
+  let ctx = Core.Context.of_platform ~annot solo program in
+  let sys =
+    Core.Multicore.default_system ~cores:2
+      ~tasks:[| Some (program, annot); Some (program, annot) |]
+  in
+  let ctxs = Core.Multicore.contexts sys in
+  let ctx_of core = Option.get ctxs.(core) in
+  let tag label = Option.map (fun s -> label ^ " " ^ s) in
+  let contended mode () =
+    Core.Mode.analyze ~ctxs sys mode
+    |> Array.to_list
+    |> List.mapi (fun core w -> (core, w))
+    |> List.find_map (fun (core, w) ->
+           Option.bind w (fun w ->
+               tag
+                 (Printf.sprintf "%s core %d" (Core.Mode.name mode) core)
+                 (l2_mismatch (ctx_of core) w)))
+  in
+  List.find_map
+    (fun check -> check ())
+    ((fun () -> tag "solo" (l1_mismatch ctx))
+    :: (fun () ->
+         tag "solo" (l2_mismatch ctx (Core.Wcet.analyze_with ~ctx solo)))
+    :: (fun () -> tag "2-core" (l1_mismatch (ctx_of 0)))
+    :: List.filter_map
+         (fun mode ->
+           if mode = Core.Mode.Solo then None else Some (contended mode))
+         Core.Mode.all)
+
+let test_engine_reference_catalog () =
+  List.iter
+    (fun (b : Workloads.Bench_programs.t) ->
+      Alcotest.(check (option string))
+        b.Workloads.Bench_programs.name None
+        (engine_mismatch
+           (b.Workloads.Bench_programs.program, b.Workloads.Bench_programs.annot)))
+    (Workloads.Bench_programs.suite ())
+
+let prop_engine_reference_generated =
+  QCheck.Test.make ~name:"engine reference agrees on generated programs"
+    ~count:200
+    QCheck.(pair (int_range 0 10_000) (int_range 0 99))
+    (fun (seed, index) ->
+      let gen = Fuzz.Generator.generate ~seed ~index () in
+      match
+        engine_mismatch (gen.Fuzz.Generator.program, gen.Fuzz.Generator.annot)
+      with
+      | None -> true
+      | Some where -> QCheck.Test.fail_reportf "seed %d index %d: %s" seed index where)
+
 let () =
   Alcotest.run "cache"
     [
@@ -1133,6 +1316,8 @@ let () =
           Alcotest.test_case "bypass" `Quick test_multilevel_bypass;
           Alcotest.test_case "single-usage lines" `Quick
             test_single_usage_lines;
+          Alcotest.test_case "persistence on demand" `Quick
+            test_persistence_on_demand;
         ] );
       ( "shared",
         [
@@ -1157,4 +1342,10 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           ([ prop_must_sound; prop_may_sound ] @ lattice_props) );
       ("acs reference", [ QCheck_alcotest.to_alcotest prop_acs_reference ]);
+      ( "engine reference",
+        [
+          Alcotest.test_case "catalog in all eight modes" `Quick
+            test_engine_reference_catalog;
+          QCheck_alcotest.to_alcotest prop_engine_reference_generated;
+        ] );
     ]

@@ -858,6 +858,39 @@ let test_bypass_lines_read_plain_analysis () =
   Alcotest.(check (list int)) "same over a shared context" plain
     (Core.Multicore.bypass_lines ~ctx sys task)
 
+(* A procedure without calls takes its refined value analysis as its
+   plain one, since the two differ only at a [Call].  A procedure with
+   calls keeps a separate plain analysis: the program of the test above
+   (generator seed 5, index 64) needs it. *)
+let test_va_plain_shared_without_calls () =
+  let gen = Fuzz.Generator.generate ~seed:5 ~index:64 () in
+  let sys = Core.Multicore.default_system ~cores:1 ~tasks:[| None |] in
+  let ctx =
+    Core.Context.build ~annot:gen.Fuzz.Generator.annot
+      ~l1i:sys.Core.Multicore.l1i ~l1d:sys.Core.Multicore.l1d
+      gen.Fuzz.Generator.program
+  in
+  let with_calls, call_free =
+    List.partition
+      (fun (_, (p : Core.Context.proc)) ->
+        p.Core.Context.graph.Cfg.Graph.calls <> [])
+      ctx.Core.Context.procs
+  in
+  Alcotest.(check bool) "a procedure with calls" true (with_calls <> []);
+  Alcotest.(check bool) "a call-free procedure" true (call_free <> []);
+  let shared (_, (p : Core.Context.proc)) =
+    Lazy.force p.Core.Context.va_plain == p.Core.Context.va
+  in
+  List.iter
+    (fun ((name, _) as p) ->
+      Alcotest.(check bool) (name ^ ": va_plain is va") true (shared p))
+    call_free;
+  List.iter
+    (fun ((name, _) as p) ->
+      Alcotest.(check bool) (name ^ ": a plain analysis of its own") false
+        (shared p))
+    with_calls
+
 (* ------------------------------------------------------------------ *)
 (* Mode-invariant contexts                                            *)
 (* ------------------------------------------------------------------ *)
@@ -1484,6 +1517,8 @@ let () =
             test_bypass_lines_of_straightline;
           Alcotest.test_case "bypass reads the plain value analysis" `Quick
             test_bypass_lines_read_plain_analysis;
+          Alcotest.test_case "va_plain is va without calls" `Quick
+            test_va_plain_shared_without_calls;
         ] );
       ( "mode",
         [

@@ -673,6 +673,36 @@ let test_worklist_matches_sweep () =
       w_s.Core.Wcet.wcet w_w.Core.Wcet.wcet
   done
 
+(* The contract the cache engine keeps its before-states by: a block's
+   last transfer sees the input [solve] returns for it, and a block left
+   at bottom is never transferred.  Every procedure of generated
+   programs, under both schedules, on a max lattice whose loops climb
+   for several rounds before they saturate. *)
+let prop_last_transfer_sees_final_input =
+  QCheck.Test.make ~name:"a block's last transfer sees its final input"
+    ~count:60
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_range 0 999))
+    (fun index ->
+      let t = Fuzz.Generator.generate ~seed:13 ~index () in
+      let cg = Cfg.Callgraph.build t.Fuzz.Generator.program in
+      List.for_all
+        (fun (_, g) ->
+          List.for_all
+            (fun strategy ->
+              let last = Array.make (Cfg.Graph.num_blocks g) None in
+              let ins, _ =
+                Dataflow.Worklist.with_strategy strategy (fun () ->
+                    Dataflow.Worklist.solve g ~entry_fact:0 ~join:max
+                      ~equal:Int.equal
+                      ~transfer:(fun id x ->
+                        last.(id) <- Some x;
+                        min 40 (x + 1 + (id mod 3)))
+                      ())
+              in
+              ins = last)
+            [ `Worklist; `Sweep ])
+        (Cfg.Callgraph.bottom_up cg))
+
 let test_worklist_saves_pops () =
   (* On a CFG with a loop, the worklist must examine strictly fewer
      blocks than sweeping examines (blocks x rounds), else the engine
@@ -745,6 +775,7 @@ let () =
             test_worklist_matches_sweep;
           Alcotest.test_case "skips unchanged blocks" `Quick
             test_worklist_saves_pops;
+          QCheck_alcotest.to_alcotest prop_last_transfer_sees_final_input;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

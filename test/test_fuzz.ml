@@ -305,12 +305,12 @@ let test_campaign_work_counts () =
   in
   Alcotest.(check (list int))
     "seed 7: pivots, nodes, pops, transfers, cache iterations"
-    [ 323; 180; 6499; 6184; 708 ]
+    [ 323; 180; 6158; 5886; 673 ]
     (charged (fun () ->
          O.run_campaign ~seed:7 ~count:8 ~cores:2 ~workers:1 ()));
   Alcotest.(check (list int))
     "seed 7 refined: pivots, nodes, pops, transfers, cache iterations"
-    [ 522; 288; 6499; 6184; 708 ]
+    [ 522; 288; 6158; 5886; 673 ]
     (charged (fun () ->
          O.run_campaign ~refine:Refine.default ~seed:7 ~count:8 ~cores:2
            ~workers:1 ()))
